@@ -74,9 +74,31 @@ DomTree::dominates(BasicBlock *a, BasicBlock *b) const
     }
 }
 
+InstOrder::InstOrder(const Function &f)
+{
+    for (const auto &bb : f.blocks()) {
+        size_t i = 0;
+        for (const auto &inst : bb->insts())
+            pos_.emplace(inst.get(), std::make_pair(bb.get(), i++));
+    }
+}
+
+bool
+InstOrder::comesFirst(const Instruction *def, const Instruction *user,
+                      const BasicBlock *bb) const
+{
+    auto d = pos_.find(def);
+    if (d == pos_.end() || d->second.first != bb)
+        return false;
+    auto u = pos_.find(user);
+    if (u == pos_.end() || u->second.first != bb)
+        return true;
+    return d->second.second <= u->second.second;
+}
+
 bool
 DomTree::dominatesUse(const Instruction *def, const Instruction *user,
-                      size_t operand_index) const
+                      size_t operand_index, const InstOrder &order) const
 {
     BasicBlock *def_bb = def->parent();
     if (user->isPhi()) {
@@ -88,13 +110,7 @@ DomTree::dominatesUse(const Instruction *def, const Instruction *user,
     if (def_bb != use_bb)
         return dominates(def_bb, use_bb);
     // Same block: def must come first.
-    for (const auto &inst : def_bb->insts()) {
-        if (inst.get() == def)
-            return true;
-        if (inst.get() == user)
-            return false;
-    }
-    return false;
+    return order.comesFirst(def, user, def_bb);
 }
 
 } // namespace bitspec

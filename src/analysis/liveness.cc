@@ -1,98 +1,140 @@
 #include "analysis/liveness.h"
 
-#include "analysis/cfg.h"
+#include <bit>
 
 namespace bitspec
 {
 
-namespace
+void
+Liveness::ValueSet::iterator::settle()
 {
-
-bool
-isTracked(const Value *v)
-{
-    return v->isInstruction() || v->kind() == ValueKind::Argument;
+    const size_t n = lv_->values_.size();
+    while (row_ && id_ < n) {
+        const uint64_t w = row_[id_ / 64] >> (id_ % 64);
+        if (w != 0) {
+            id_ += static_cast<size_t>(std::countr_zero(w));
+            break;
+        }
+        id_ = (id_ / 64 + 1) * 64;
+    }
+    if (!row_ || id_ > n)
+        id_ = n;
 }
 
-} // namespace
-
-Liveness::Liveness(Function &f, bool handler_edges)
+size_t
+Liveness::ValueSet::count(const Value *v) const
 {
-    // Successor map including handler edges when requested.
-    std::map<const BasicBlock *, std::vector<BasicBlock *>> succs;
-    for (const auto &bb : f.blocks())
-        succs[bb.get()] = bb->successors();
+    const long id = lv_->idOf(v);
+    if (!row_ || id < 0)
+        return 0;
+    const auto i = static_cast<size_t>(id);
+    return (row_[i / 64] >> (i % 64)) & 1;
+}
+
+Liveness::Liveness(const Function &f, bool handler_edges)
+{
+    for (size_t i = 0; i < f.numArgs(); ++i)
+        values_.push_back(f.arg(i));
+    for (const auto &bb : f.blocks()) {
+        blockIdx_.emplace(bb.get(), static_cast<unsigned>(blockIdx_.size()));
+        for (const auto &inst : bb->insts())
+            values_.push_back(inst.get());
+    }
+    ids_.reserve(values_.size());
+    for (size_t i = 0; i < values_.size(); ++i)
+        ids_.emplace(values_[i], static_cast<unsigned>(i));
+
+    const size_t nb = f.blocks().size();
+    const size_t nv = values_.size();
+    auto block = [&](const BasicBlock *bb) {
+        auto it = blockIdx_.find(bb);
+        return it == blockIdx_.end() ? -1L : static_cast<long>(it->second);
+    };
+
+    // Successors, including handler edges when requested.
+    std::vector<std::vector<unsigned>> succs(nb);
+    for (const auto &bb : f.blocks()) {
+        auto &out = succs[blockIdx_.at(bb.get())];
+        for (BasicBlock *s : bb->successors())
+            if (long si = block(s); si >= 0)
+                out.push_back(static_cast<unsigned>(si));
+    }
     if (handler_edges) {
-        for (const auto &sr : f.specRegions())
-            for (BasicBlock *member : sr->blocks)
-                succs[member].push_back(sr->handler);
+        for (const auto &sr : f.specRegions()) {
+            const long h = block(sr->handler);
+            for (BasicBlock *member : sr->blocks) {
+                const long m = block(member);
+                if (m >= 0 && h >= 0)
+                    succs[m].push_back(static_cast<unsigned>(h));
+            }
+        }
     }
 
     // use[b]: used before any def in b (phi uses attributed to the
     // incoming edge, i.e. to the predecessor's live-out).
     // def[b]: values defined in b.
-    std::map<const BasicBlock *, std::set<const Value *>> use, def;
-    // phiUse[pred] accumulates values consumed by successor phis.
-    std::map<const BasicBlock *, std::set<const Value *>> phi_use;
-
+    // phiUse[pred]: values consumed by successor phis along pred's
+    // outgoing edges.
+    BitMatrix use(nb, nv), def(nb, nv), phi_use(nb, nv);
+    size_t id = f.numArgs();
     for (const auto &bb : f.blocks()) {
-        auto &u = use[bb.get()];
-        auto &d = def[bb.get()];
+        const unsigned b = blockIdx_.at(bb.get());
         for (const auto &inst : bb->insts()) {
             if (inst->isPhi()) {
                 for (size_t i = 0; i < inst->numOperands(); ++i) {
-                    Value *v = inst->operand(i);
-                    if (isTracked(v))
-                        phi_use[inst->blockOperand(i)].insert(v);
+                    const long v = idOf(inst->operand(i));
+                    const long p = block(inst->blockOperand(i));
+                    if (v >= 0 && p >= 0)
+                        phi_use.set(static_cast<size_t>(p),
+                                     static_cast<size_t>(v));
                 }
             } else {
-                for (Value *v : inst->operands())
-                    if (isTracked(v) && !d.count(v))
-                        u.insert(v);
+                for (Value *op : inst->operands()) {
+                    const long v = idOf(op);
+                    if (v >= 0 && !def.test(b, static_cast<size_t>(v)))
+                        use.set(b, static_cast<size_t>(v));
+                }
             }
             if (!inst->type().isVoid())
-                d.insert(inst.get());
+                def.set(b, id);
+            ++id;
         }
     }
 
-    // Backward dataflow to a fixed point.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (auto it = f.blocks().rbegin(); it != f.blocks().rend(); ++it) {
-            const BasicBlock *bb = it->get();
-            std::set<const Value *> out = phi_use[bb];
-            for (BasicBlock *s : succs[bb])
-                for (const Value *v : liveIn_[s])
-                    out.insert(v);
-            std::set<const Value *> in = use[bb];
-            for (const Value *v : out)
-                if (!def[bb].count(v))
-                    in.insert(v);
-            // Phi results are defined at the top of the block but their
-            // "definition" already sits in def[bb]; phis themselves are
-            // live-in only via other blocks.
-            if (out != liveOut_[bb] || in != liveIn_[bb]) {
-                liveOut_[bb] = std::move(out);
-                liveIn_[bb] = std::move(in);
-                changed = true;
-            }
-        }
-    }
+    // Phi results are defined at the top of their block, so they are
+    // live-in only via other blocks.
+    liveIn_ = BitMatrix(nb, nv);
+    liveOut_ = BitMatrix(nb, nv);
+    solveLiveness(succs, use, def, &phi_use, liveIn_, liveOut_);
 }
 
-const std::set<const Value *> &
+long
+Liveness::idOf(const Value *v) const
+{
+    if (!v->isInstruction() && v->kind() != ValueKind::Argument)
+        return -1;
+    auto it = ids_.find(v);
+    return it == ids_.end() ? -1 : static_cast<long>(it->second);
+}
+
+Liveness::ValueSet
+Liveness::rowOf(const BitMatrix &m, const BasicBlock *bb) const
+{
+    auto it = blockIdx_.find(bb);
+    return ValueSet(this, it == blockIdx_.end() ? nullptr
+                                                : m.row(it->second));
+}
+
+Liveness::ValueSet
 Liveness::liveIn(const BasicBlock *bb) const
 {
-    auto it = liveIn_.find(bb);
-    return it == liveIn_.end() ? empty_ : it->second;
+    return rowOf(liveIn_, bb);
 }
 
-const std::set<const Value *> &
+Liveness::ValueSet
 Liveness::liveOut(const BasicBlock *bb) const
 {
-    auto it = liveOut_.find(bb);
-    return it == liveOut_.end() ? empty_ : it->second;
+    return rowOf(liveOut_, bb);
 }
 
 } // namespace bitspec

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "analysis/cfg.h"
 #include "analysis/dominators.h"
@@ -141,6 +142,7 @@ verifyFunction(Function &f)
 
     // SSA dominance for reachable code.
     DomTree dt(f);
+    const InstOrder order(f);
     for (const auto &bb : f.blocks()) {
         if (!dt.isReachable(bb.get()))
             continue;
@@ -152,7 +154,7 @@ verifyFunction(Function &f)
                 auto *def = static_cast<Instruction *>(op);
                 if (!dt.isReachable(def->parent()))
                     continue;
-                if (!dt.dominatesUse(def, inst.get(), i)) {
+                if (!dt.dominatesUse(def, inst.get(), i, order)) {
                     bad("use before def of %" + def->name() + " in " +
                         bb->name());
                 }
@@ -177,6 +179,12 @@ verifyFunction(Function &f)
                 bad("handler inside its region: " + member->name());
         }
     }
+    // Branch edges into each block, counted once for all handlers.
+    std::unordered_map<const BasicBlock *, unsigned> edges_into;
+    if (!handlers.empty())
+        for (const auto &bb : f.blocks())
+            for (BasicBlock *succ : bb->successors())
+                ++edges_into[succ];
     for (BasicBlock *h : handlers) {
         if (in_region.count(h))
             bad("handler is member of a region: " + h->name());
@@ -184,10 +192,10 @@ verifyFunction(Function &f)
         // target, never the function entry (which the caller enters).
         if (!f.blocks().empty() && h == f.entry())
             bad("handler is the function entry: " + h->name());
-        for (const auto &bb : f.blocks())
-            for (BasicBlock *succ : bb->successors())
-                if (succ == h)
-                    bad("handler is a branch target: " + h->name());
+        auto it = edges_into.find(h);
+        for (unsigned n = it == edges_into.end() ? 0 : it->second; n > 0;
+             --n)
+            bad("handler is a branch target: " + h->name());
     }
 
     // Every speculative instruction needs a region (and with it a

@@ -1,11 +1,12 @@
 #include "backend/regalloc.h"
 
 #include <algorithm>
-#include <map>
+#include <cstddef>
+#include <cstdint>
 #include <set>
 #include <vector>
 
-#include "support/error.h"
+#include "support/bitmatrix.h"
 
 namespace bitspec
 {
@@ -13,50 +14,45 @@ namespace bitspec
 namespace
 {
 
-/** A live interval as a set of disjoint [start, end] segments.
+/** A vreg's live interval plus its allocation state.
  *
  * Segments (rather than one [min, max] range) matter enormously for
  * BitSpec: values live into a misspeculation handler are used again
  * in the cold CFG_orig clone, and a single-range allocator would
  * stretch them across every hot loop in between, spilling the world.
  */
-struct Interval
+struct Interval : LiveInterval
 {
-    uint32_t vreg = 0;
-    bool isSlice = false;
     int start = 0; ///< First segment start (sort key).
-    std::vector<std::pair<int, int>> segs; ///< Sorted, disjoint.
     int assignedReg = -1;
     int assignedSlice = -1;
     bool spilled = false;
     unsigned slot = 0;
 
+    /** True when a segment intersects one of @p other's, which is
+     *  sorted and disjoint (so its ends ascend too). */
     bool
     overlaps(const std::vector<std::pair<int, int>> &other) const
     {
-        size_t i = 0, j = 0;
-        while (i < segs.size() && j < other.size()) {
-            if (segs[i].second < other[j].first)
-                ++i;
-            else if (other[j].second < segs[i].first)
-                ++j;
-            else
+        auto j = other.begin();
+        for (const auto &[s, e] : segs) {
+            j = std::lower_bound(j, other.end(), s,
+                                 [](const std::pair<int, int> &o, int v) {
+                                     return o.second < v;
+                                 });
+            if (j == other.end())
+                return false;
+            if (j->first <= e)
                 return true;
         }
         return false;
-    }
-
-    int
-    end() const
-    {
-        return segs.empty() ? start : segs.back().second;
     }
 };
 
 /** Busy segments assigned to one physical slot. */
 struct SlotBusy
 {
-    std::vector<std::pair<int, int>> segs; ///< Sorted by start.
+    std::vector<std::pair<int, int>> segs; ///< Sorted, disjoint.
 
     bool
     conflicts(const Interval &iv) const
@@ -67,10 +63,140 @@ struct SlotBusy
     void
     add(const Interval &iv)
     {
+        const auto mid = static_cast<std::ptrdiff_t>(segs.size());
         segs.insert(segs.end(), iv.segs.begin(), iv.segs.end());
-        std::sort(segs.begin(), segs.end());
+        std::inplace_merge(segs.begin(), segs.begin() + mid, segs.end());
     }
 };
+
+template <typename Inst, typename Fn>
+void
+forEachVReg(Inst &inst, Fn fn)
+{
+    bool dst_is_use = inst.op == MOp::STR || inst.op == MOp::STRH ||
+                      inst.op == MOp::STRB || inst.op == MOp::STRB8;
+    bool dst_also_use =
+        ((inst.op == MOp::MOV || inst.op == MOp::MOV8) &&
+         inst.cond != Cond::AL) ||
+        inst.op == MOp::MOVT;
+    if (inst.dst.isVReg())
+        fn(inst.dst, !dst_is_use, dst_is_use || dst_also_use);
+    if (inst.a.isVReg())
+        fn(inst.a, false, true);
+    if (inst.b.isVReg())
+        fn(inst.b, false, true);
+}
+
+/**
+ * Live intervals of every vreg of @p mf over instruction positions
+ * numbered in block order, sorted by start. The (unstable) sort sees
+ * the intervals in ascending vreg order, which fixes how it breaks
+ * ties. Liveness is one bit row per block over vreg ids, with SMIR
+ * handler edges (Eq. 2).
+ */
+std::vector<Interval>
+buildIntervals(const MachFunction &mf)
+{
+    const size_t nb = mf.blocks.size();
+    const size_t nv = mf.vregIsSlice.size();
+
+    // Block ids -> positions in mf.blocks (rows of the bit matrices).
+    int max_id = -1;
+    for (const MachBlock &mb : mf.blocks)
+        max_id = std::max(max_id, mb.id);
+    std::vector<int> row_of(static_cast<size_t>(max_id + 1), -1);
+    for (size_t b = 0; b < nb; ++b)
+        row_of[static_cast<size_t>(mf.blocks[b].id)] = static_cast<int>(b);
+    auto row = [&](int id) {
+        return id >= 0 && id <= max_id ? row_of[static_cast<size_t>(id)]
+                                       : -1;
+    };
+
+    std::vector<int> block_start(nb);
+    BitMatrix use(nb, nv), def(nb, nv);
+    std::vector<std::vector<unsigned>> succs(nb);
+    int pos = 0;
+    for (size_t b = 0; b < nb; ++b) {
+        const MachBlock &mb = mf.blocks[b];
+        block_start[b] = pos;
+        pos += static_cast<int>(mb.insts.size());
+        for (const MachInst &inst : mb.insts) {
+            forEachVReg(inst, [&](const MOpnd &o, bool is_def,
+                                  bool is_use) {
+                if (is_use && !def.test(b, o.vreg))
+                    use.set(b, o.vreg);
+                if (is_def)
+                    def.set(b, o.vreg);
+            });
+        }
+        for (int s : mb.successors())
+            if (int r = row(s); r >= 0)
+                succs[b].push_back(static_cast<unsigned>(r));
+        if (int r = row(mb.handlerBlock); r >= 0)
+            succs[b].push_back(static_cast<unsigned>(r));
+    }
+
+    BitMatrix live_in(nb, nv), live_out(nb, nv);
+    solveLiveness(succs, use, def, nullptr, live_in, live_out);
+
+    // One raw segment per block where a vreg occurs or lives through.
+    // Blocks are numbered in order, so each vreg's segments arrive
+    // sorted and disjoint.
+    std::vector<std::vector<std::pair<int, int>>> raw(nv);
+    std::vector<size_t> seen_in(nv, SIZE_MAX);
+    std::vector<std::pair<int, int>> occur(nv);
+    std::vector<uint32_t> touched;
+    for (size_t b = 0; b < nb; ++b) {
+        const int bs = block_start[b];
+        const int be = bs + static_cast<int>(mf.blocks[b].insts.size()) - 1;
+        touched.clear();
+        int p = bs;
+        for (const MachInst &inst : mf.blocks[b].insts) {
+            forEachVReg(inst, [&](const MOpnd &o, bool, bool) {
+                if (seen_in[o.vreg] != b) {
+                    seen_in[o.vreg] = b;
+                    occur[o.vreg] = {p, p};
+                    touched.push_back(o.vreg);
+                } else {
+                    occur[o.vreg].second = p;
+                }
+            });
+            ++p;
+        }
+        for (uint32_t v : touched) {
+            int s = live_in.test(b, v) ? bs : occur[v].first;
+            int e = live_out.test(b, v) ? be : occur[v].second;
+            raw[v].emplace_back(s, e);
+        }
+        // Live-through without occurrence.
+        live_in.forEach(b, [&](size_t v) {
+            if (seen_in[v] != b && live_out.test(b, v))
+                raw[v].emplace_back(bs, be);
+        });
+    }
+
+    std::vector<Interval> out;
+    for (uint32_t v = 0; v < nv; ++v) {
+        if (raw[v].empty())
+            continue;
+        Interval iv;
+        iv.vreg = v;
+        iv.isSlice = mf.vregIsSlice[v];
+        for (auto &[s, e] : raw[v]) {
+            if (!iv.segs.empty() && s <= iv.segs.back().second + 1)
+                iv.segs.back().second = std::max(iv.segs.back().second, e);
+            else
+                iv.segs.emplace_back(s, e);
+        }
+        iv.start = iv.segs.front().first;
+        out.push_back(std::move(iv));
+    }
+    std::sort(out.begin(), out.end(),
+              [](const Interval &a, const Interval &b) {
+                  return a.start < b.start;
+              });
+    return out;
+}
 
 class Allocator
 {
@@ -86,9 +212,7 @@ class Allocator
     BackendStats
     run()
     {
-        numberInstructions();
-        computeLiveness();
-        buildIntervals();
+        intervals_ = buildIntervals(mf_);
         scan();
         rewrite();
         collectStats();
@@ -96,142 +220,6 @@ class Allocator
     }
 
   private:
-    template <typename Fn>
-    static void
-    forEachVReg(MachInst &inst, Fn fn)
-    {
-        bool dst_is_use = inst.op == MOp::STR || inst.op == MOp::STRH ||
-                          inst.op == MOp::STRB || inst.op == MOp::STRB8;
-        bool dst_also_use =
-            ((inst.op == MOp::MOV || inst.op == MOp::MOV8) &&
-             inst.cond != Cond::AL) ||
-            inst.op == MOp::MOVT;
-        if (inst.dst.isVReg())
-            fn(inst.dst, !dst_is_use, dst_is_use || dst_also_use);
-        if (inst.a.isVReg())
-            fn(inst.a, false, true);
-        if (inst.b.isVReg())
-            fn(inst.b, false, true);
-    }
-
-    void
-    numberInstructions()
-    {
-        int pos = 0;
-        for (auto &mb : mf_.blocks) {
-            blockStart_[mb.id] = pos;
-            pos += static_cast<int>(mb.insts.size());
-            blockEnd_[mb.id] = pos; // One past the last.
-        }
-    }
-
-    void
-    computeLiveness()
-    {
-        std::map<int, std::set<uint32_t>> use, def;
-        for (auto &mb : mf_.blocks) {
-            auto &u = use[mb.id];
-            auto &d = def[mb.id];
-            for (auto &inst : mb.insts) {
-                forEachVReg(inst,
-                            [&](MOpnd &o, bool is_def, bool is_use) {
-                                if (is_use && !d.count(o.vreg))
-                                    u.insert(o.vreg);
-                                if (is_def)
-                                    d.insert(o.vreg);
-                            });
-            }
-        }
-
-        // Successors including SMIR handler edges (Eq. 2).
-        std::map<int, std::vector<int>> succs;
-        for (auto &mb : mf_.blocks) {
-            succs[mb.id] = mb.successors();
-            if (mb.handlerBlock >= 0)
-                succs[mb.id].push_back(mb.handlerBlock);
-        }
-
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (auto it = mf_.blocks.rbegin();
-                 it != mf_.blocks.rend(); ++it) {
-                std::set<uint32_t> out;
-                for (int s : succs[it->id])
-                    for (uint32_t v : liveIn_[s])
-                        out.insert(v);
-                std::set<uint32_t> in = use[it->id];
-                for (uint32_t v : out)
-                    if (!def[it->id].count(v))
-                        in.insert(v);
-                if (out != liveOut_[it->id] ||
-                    in != liveIn_[it->id]) {
-                    liveOut_[it->id] = std::move(out);
-                    liveIn_[it->id] = std::move(in);
-                    changed = true;
-                }
-            }
-        }
-    }
-
-    void
-    buildIntervals()
-    {
-        // Per-vreg raw segments (one per block where live/occurring),
-        // merged afterwards.
-        std::map<uint32_t, std::vector<std::pair<int, int>>> raw;
-
-        for (auto &mb : mf_.blocks) {
-            // First/last occurrence positions within the block.
-            std::map<uint32_t, std::pair<int, int>> occur;
-            int pos = blockStart_[mb.id];
-            for (auto &inst : mb.insts) {
-                forEachVReg(inst, [&](MOpnd &o, bool, bool) {
-                    auto [it, fresh] =
-                        occur.try_emplace(o.vreg,
-                                          std::make_pair(pos, pos));
-                    if (!fresh)
-                        it->second.second = pos;
-                });
-                ++pos;
-            }
-            int bs = blockStart_[mb.id];
-            int be = blockEnd_[mb.id] - 1;
-            std::set<uint32_t> touched;
-            for (auto &[vreg, fl] : occur) {
-                int s = liveIn_[mb.id].count(vreg) ? bs : fl.first;
-                int e = liveOut_[mb.id].count(vreg) ? be : fl.second;
-                raw[vreg].emplace_back(s, e);
-                touched.insert(vreg);
-            }
-            // Live-through without occurrence.
-            for (uint32_t v : liveIn_[mb.id]) {
-                if (!touched.count(v) && liveOut_[mb.id].count(v))
-                    raw[v].emplace_back(bs, be);
-            }
-        }
-
-        for (auto &[vreg, segs] : raw) {
-            std::sort(segs.begin(), segs.end());
-            Interval iv;
-            iv.vreg = vreg;
-            iv.isSlice = mf_.vregIsSlice[vreg];
-            for (auto &[s, e] : segs) {
-                if (!iv.segs.empty() && s <= iv.segs.back().second + 1)
-                    iv.segs.back().second =
-                        std::max(iv.segs.back().second, e);
-                else
-                    iv.segs.emplace_back(s, e);
-            }
-            iv.start = iv.segs.front().first;
-            intervals_.push_back(std::move(iv));
-        }
-        std::sort(intervals_.begin(), intervals_.end(),
-                  [](const Interval &a, const Interval &b) {
-                      return a.start < b.start;
-                  });
-    }
-
     unsigned numRegs() const { return lastAlloc_ - kFirstAlloc + 1; }
 
     void
@@ -330,7 +318,7 @@ class Allocator
     void
     rewrite()
     {
-        std::map<uint32_t, Interval *> iv_of;
+        std::vector<Interval *> iv_of(mf_.vregIsSlice.size(), nullptr);
         for (Interval &iv : intervals_)
             iv_of[iv.vreg] = &iv;
 
@@ -343,7 +331,7 @@ class Allocator
                 // there would clobber previously placed arguments.
                 if (inst.op == MOp::MOV && inst.cond == Cond::AL &&
                     inst.dst.isReg() && inst.a.isVReg()) {
-                    Interval *iv = iv_of.at(inst.a.vreg);
+                    Interval *iv = iv_of[inst.a.vreg];
                     if (iv->spilled && !iv->isSlice) {
                         MachInst ld;
                         ld.op = MOp::LDR;
@@ -357,7 +345,7 @@ class Allocator
                 }
                 if (inst.op == MOp::MOV && inst.cond == Cond::AL &&
                     inst.dst.isVReg() && inst.a.isReg()) {
-                    Interval *iv = iv_of.at(inst.dst.vreg);
+                    Interval *iv = iv_of[inst.dst.vreg];
                     if (iv->spilled && !iv->isSlice) {
                         MachInst st;
                         st.op = MOp::STR;
@@ -373,7 +361,7 @@ class Allocator
                 std::vector<MachInst> loads, stores;
                 auto fix = [&](MOpnd &o, bool is_def, bool is_use,
                                unsigned scratch) {
-                    Interval *iv = iv_of.at(o.vreg);
+                    Interval *iv = iv_of[o.vreg];
                     if (!iv->spilled) {
                         o = physOpnd(*iv);
                         return;
@@ -455,14 +443,19 @@ class Allocator
     MachFunction &mf_;
     unsigned lastAlloc_;
     BackendStats stats_;
-    std::map<int, int> blockStart_, blockEnd_;
-    std::map<int, std::set<uint32_t>> liveIn_, liveOut_;
     std::vector<Interval> intervals_;
     std::vector<SlotBusy> wholeBusy_;  ///< Per register.
     std::vector<SlotBusy> sliceBusy_;  ///< Per register x 4 slices.
 };
 
 } // namespace
+
+std::vector<LiveInterval>
+liveIntervals(const MachFunction &mf)
+{
+    std::vector<Interval> ivs = buildIntervals(mf);
+    return {ivs.begin(), ivs.end()};
+}
 
 BackendStats
 allocateRegisters(MachFunction &mf)

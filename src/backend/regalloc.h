@@ -17,10 +17,27 @@
 #ifndef BITSPEC_BACKEND_REGALLOC_H_
 #define BITSPEC_BACKEND_REGALLOC_H_
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "backend/mir.h"
 
 namespace bitspec
 {
+
+/** One vreg's live interval: sorted, disjoint [first, last] ranges of
+ *  instruction positions, numbered in block order. */
+struct LiveInterval
+{
+    uint32_t vreg = 0;
+    bool isSlice = false;
+    std::vector<std::pair<int, int>> segs;
+};
+
+/** The intervals allocateRegisters scans for @p mf, in scan order
+ *  (by start). */
+std::vector<LiveInterval> liveIntervals(const MachFunction &mf);
 
 /** Allocate @p mf in place; returns spill statistics. */
 BackendStats allocateRegisters(MachFunction &mf);

@@ -60,6 +60,14 @@ bsAssert(bool cond, const std::string &msg)
         panic(msg);
 }
 
+/** Literal-message overload: builds no std::string unless it fails. */
+inline void
+bsAssert(bool cond, const char *msg)
+{
+    if (!cond)
+        panic(msg);
+}
+
 } // namespace bitspec
 
 #endif // BITSPEC_SUPPORT_ERROR_H_

@@ -1,7 +1,10 @@
 #include "transform/simplify.h"
 
-#include <map>
+#include <memory>
 #include <set>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "analysis/cfg.h"
 #include "support/bits.h"
@@ -99,12 +102,27 @@ foldOp(const Instruction &inst, uint64_t &out)
     }
 }
 
+bool
+isPhi(const Value *v)
+{
+    return v->isInstruction() && static_cast<const Instruction *>(v)->isPhi();
+}
+
 } // namespace
 
 unsigned
 simplifyTrivialPhis(Function &f)
 {
-    unsigned removed = 0;
+    // Uses of every phi (only phis are ever replaced), built at the
+    // first trivial phi, so that replacing one touches only its uses.
+    // Removed phis stay allocated until return: their addresses are
+    // still keys here, and getConst must not hand one out again.
+    std::unordered_map<const Value *,
+                       std::vector<std::pair<Instruction *, size_t>>>
+        users;
+    bool indexed = false;
+    std::vector<std::unique_ptr<Instruction>> removed_phis;
+
     bool changed = true;
     while (changed) {
         changed = false;
@@ -136,14 +154,36 @@ simplifyTrivialPhis(Function &f)
                 Value *repl = unique
                                   ? unique
                                   : f.parent()->getConst(inst->type(), 0);
-                f.replaceAllUses(inst, repl);
+                if (!indexed) {
+                    for (auto &b : f.blocks())
+                        for (auto &u : b->insts())
+                            for (size_t i = 0; i < u->numOperands(); ++i)
+                                if (isPhi(u->operand(i)))
+                                    users[u->operand(i)].push_back(
+                                        {u.get(), i});
+                    indexed = true;
+                }
+                auto uit = users.find(inst);
+                if (uit != users.end()) {
+                    auto moved = std::move(uit->second);
+                    users.erase(uit);
+                    for (const auto &[user, index] : moved) {
+                        bsAssert(user->operand(index) == inst,
+                                 "simplifyTrivialPhis: stale use");
+                        user->setOperand(index, repl);
+                    }
+                    if (isPhi(repl)) {
+                        auto &to = users[repl];
+                        to.insert(to.end(), moved.begin(), moved.end());
+                    }
+                }
+                removed_phis.push_back(std::move(*it));
                 it = bb->insts().erase(it);
-                ++removed;
                 changed = true;
             }
         }
     }
-    return removed;
+    return static_cast<unsigned>(removed_phis.size());
 }
 
 unsigned

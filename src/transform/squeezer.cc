@@ -638,13 +638,19 @@ class SqueezerImpl
         }
     }
 
-    /** Collapse `trunc(zext(x8))` placeholders to x8. Erased
-     *  instructions may still be referenced from narrowOf_ or the
-     *  clone map (their addresses could be reused by later
-     *  allocations), so both maps are redirected first. */
+    /** Collapse `trunc(zext(x8))` placeholders to x8.
+     *
+     *  Uses and the narrowOf_/clone-map entries of collapsed truncates
+     *  are redirected in one pass after the sweep. A replacement can
+     *  itself be a truncate collapsed later in the sweep, so each
+     *  redirect follows the chain to its end; collapsed truncates stay
+     *  allocated until then (both for the sweep's own operand checks
+     *  and so their addresses cannot be reused while still keys). */
     void
     cleanupTruncs()
     {
+        std::unordered_map<const Value *, Value *> collapsed;
+        std::vector<std::unique_ptr<Instruction>> erased;
         for (auto &bb : f_.blocks()) {
             for (auto it = bb->insts().begin(); it != bb->insts().end();) {
                 Instruction *t = it->get();
@@ -654,16 +660,8 @@ class SqueezerImpl
                     auto *z = static_cast<Instruction *>(t->operand(0));
                     if (z->op() == Opcode::ZExt &&
                         z->operand(0)->type().bits == kSlice) {
-                        Value *repl = z->operand(0);
-                        f_.replaceAllUses(t, repl);
-                        for (auto &[k, v] : narrowOf_)
-                            if (v == t)
-                                v = repl;
-                        if (cloneMap_) {
-                            for (auto &[k, v] : cloneMap_->values)
-                                if (v == t)
-                                    v = repl;
-                        }
+                        collapsed.emplace(t, z->operand(0));
+                        erased.push_back(std::move(*it));
                         it = bb->insts().erase(it);
                         continue;
                     }
@@ -671,6 +669,24 @@ class SqueezerImpl
                 ++it;
             }
         }
+        if (collapsed.empty())
+            return;
+        auto resolve = [&](Value *v) {
+            for (auto it = collapsed.find(v); it != collapsed.end();
+                 it = collapsed.find(v))
+                v = it->second;
+            return v;
+        };
+        for (auto &bb : f_.blocks())
+            for (auto &inst : bb->insts())
+                for (size_t i = 0; i < inst->numOperands(); ++i)
+                    if (collapsed.count(inst->operand(i)))
+                        inst->setOperand(i, resolve(inst->operand(i)));
+        for (auto &[k, v] : narrowOf_)
+            v = resolve(v);
+        if (cloneMap_)
+            for (auto &[k, v] : cloneMap_->values)
+                v = resolve(v);
     }
 
     void
@@ -786,34 +802,15 @@ class SqueezerImpl
 
         // Handlers: extend live values and branch to Orig(B). Group
         // the re-entry phis by original value for one SSA repair each.
-        //
-        // Liveness sets are pointer-ordered, so they are iterated via
-        // a positional rank (argument index, then block/instruction
-        // order): emission order — and with it the final code — must
-        // not depend on heap addresses, or parallel experiment cells
-        // would compile differently from serial ones.
-        std::unordered_map<const Value *, unsigned> rank;
-        {
-            unsigned next = 0;
-            for (size_t i = 0; i < f_.numArgs(); ++i)
-                rank[f_.arg(i)] = next++;
-            for (auto &bb : f_.blocks())
-                for (auto &inst : bb->insts())
-                    rank[inst.get()] = next++;
-        }
-
-        std::vector<std::pair<Value *, std::vector<AltDef>>> repairs;
+        // Live sets iterate in positional order (arguments, then block
+        // and instruction order), so emission order — and with it the
+        // final code — never depends on heap addresses.
+        std::vector<SSARepair> repairs;
         std::unordered_map<Value *, size_t> repairIndex;
         for (const PendingRegion &pr : pending) {
             b.setInsertPoint(pr.handler);
-            std::vector<const Value *> live(lv.liveIn(pr.orig).begin(),
-                                            lv.liveIn(pr.orig).end());
-            std::sort(live.begin(), live.end(),
-                      [&](const Value *x, const Value *y) {
-                          return rank.at(x) < rank.at(y);
-                      });
             std::vector<std::pair<Value *, Value *>> extensions;
-            for (const Value *cv : live) {
+            for (const Value *cv : lv.liveIn(pr.orig)) {
                 auto *v_orig = const_cast<Value *>(cv);
                 if (!v_orig->type().isInt())
                     continue;
@@ -836,15 +833,14 @@ class SqueezerImpl
                     v_orig, repairs.size());
                 if (inserted)
                     repairs.push_back({v_orig, {}});
-                repairs[it->second].second.push_back(
+                repairs[it->second].alts.push_back(
                     {pr.orig, pr.handler, v_ext});
             }
         }
 
-        // Insertion order (region order x ranked liveness order), not
-        // pointer order: repairSSA inserts phis as it goes.
-        for (auto &[v_orig, alts] : repairs)
-            repairSSA(f_, v_orig, alts);
+        // Insertion order (region order x positional liveness order):
+        // the batch inserts phis value by value.
+        repairSSA(f_, repairs);
 
         // Cleanup: dead original prologues, trivial repair phis,
         // unused zexts.
@@ -899,7 +895,6 @@ class SqueezerImpl
     std::set<const Value *> staticSafe_;
     std::unique_ptr<KnownBitsAnalysis> kb_;
     std::map<Value *, Value *> narrowOf_;
-    std::vector<Instruction *> pendingTruncs_;
     std::map<const Instruction *, const Instruction *> cloneTarget_;
     CloneMap *cloneMap_ = nullptr;
 };

@@ -32,13 +32,31 @@ struct AltDef
     Value *handlerValue = nullptr;
 };
 
+/** Every re-entry point of one repaired value. */
+struct SSARepair
+{
+    Value *orig = nullptr;
+    std::vector<AltDef> alts;
+};
+
 /**
- * Rewrite uses of @p orig_def so that paths flowing through any
- * AltDef block observe the merged value, inserting phis at joins on
- * demand. Each AltDef gets a phi at the top of its block whose
- * incoming from @p handlerPred is @p handlerValue and whose other
- * incomings are the reaching definitions. Types must all match.
+ * Rewrite uses of each SSARepair::orig so that paths flowing through
+ * any of its AltDef blocks observe the merged value, inserting phis at
+ * joins on demand. Each AltDef gets a phi at the top of its block
+ * whose incoming from @p handlerPred is @p handlerValue and whose
+ * other incomings are the reaching definitions. Types must all match.
+ *
+ * The repairs run in order, with the same result as one call per
+ * value, but the predecessor map and the use lists of the repaired
+ * values are built once for the whole batch. That is sound because a
+ * repair only inserts phis reading its own value, its merges and its
+ * handler values: it adds no edge and adds or removes no use of
+ * another value in the batch (checked as each use is rewritten).
+ * Each value may appear at most once.
  */
+void repairSSA(Function &f, const std::vector<SSARepair> &repairs);
+
+/** A batch of one: repair @p orig_def alone. */
 void repairSSA(Function &f, Value *orig_def,
                const std::vector<AltDef> &alts);
 

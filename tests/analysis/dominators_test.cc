@@ -68,8 +68,9 @@ TEST(Dominators, DominatesUseSameBlock)
         }
     }
     ASSERT_NE(i2, nullptr);
-    EXPECT_TRUE(dt.dominatesUse(s2, i2, 0));
-    EXPECT_FALSE(dt.dominatesUse(i2, s2, 0));
+    const InstOrder order(*f);
+    EXPECT_TRUE(dt.dominatesUse(s2, i2, 0, order));
+    EXPECT_FALSE(dt.dominatesUse(i2, s2, 0, order));
 }
 
 TEST(Dominators, PhiUsesCheckedAtIncomingEdge)
@@ -87,7 +88,7 @@ TEST(Dominators, PhiUsesCheckedAtIncomingEdge)
             i2 = inst.get(); // Last add is i2.
     for (size_t k = 0; k < i_phi->numOperands(); ++k) {
         if (i_phi->operand(k) == i2) {
-            EXPECT_TRUE(dt.dominatesUse(i2, i_phi, k));
+            EXPECT_TRUE(dt.dominatesUse(i2, i_phi, k, InstOrder(*f)));
         }
     }
 }

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "backend/compiler.h"
+#include "backend/isel.h"
+#include "backend/regalloc.h"
 #include "core/system.h"
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
 #include "profile/bitwidth_profile.h"
+#include "support/hash.h"
 #include "transform/squeezer.h"
 #include "uarch/core.h"
 
@@ -162,22 +167,24 @@ TEST(Backend, OutputsMatchInterpreter)
     checkMachine(src, TargetISA::BitSpec, false, {{}});
 }
 
+// Many simultaneously-live values force spilling.
+const char *const kPressureSrc = R"(
+    u32 main(u32 n) {
+        u32 a = n + 1; u32 b = n + 2; u32 c = n + 3; u32 d = n + 4;
+        u32 e = n + 5; u32 f = n + 6; u32 g = n + 7; u32 h = n + 8;
+        u32 i = n + 9; u32 j = n + 10; u32 k = n + 11;
+        u32 l = n + 12; u32 m = n * 2; u32 o = n * 3; u32 p = n * 5;
+        u32 s = 0;
+        for (u32 t = 0; t < n; t++)
+            s += a + b + c + d + e + f + g + h + i + j + k + l
+                 + m + o + p;
+        return s;
+    }
+)";
+
 TEST(Backend, RegisterPressureSpills)
 {
-    // Many simultaneously-live values force spilling.
-    const char *src = R"(
-        u32 main(u32 n) {
-            u32 a = n + 1; u32 b = n + 2; u32 c = n + 3; u32 d = n + 4;
-            u32 e = n + 5; u32 f = n + 6; u32 g = n + 7; u32 h = n + 8;
-            u32 i = n + 9; u32 j = n + 10; u32 k = n + 11;
-            u32 l = n + 12; u32 m = n * 2; u32 o = n * 3; u32 p = n * 5;
-            u32 s = 0;
-            for (u32 t = 0; t < n; t++)
-                s += a + b + c + d + e + f + g + h + i + j + k + l
-                     + m + o + p;
-            return s;
-        }
-    )";
+    const char *src = kPressureSrc;
     auto mod = compileSource(src);
     CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
     EXPECT_GT(cp.stats.spilledVRegs, 0u);
@@ -251,28 +258,30 @@ TEST(Machine, MisspeculationOnLargerRunInput)
     EXPECT_GE(core.counters().misspeculations, 1u);
 }
 
+// Many live byte values: with slices they pack 4-per-register.
+// XOR chains keep every intermediate within a byte, so the squeezer
+// keeps all 14 values live as slices.
+const char *const kSlicePackingSrc = R"(
+    u8 data[16] = "0123456789abcde";
+    u32 main(u32 n) {
+        u32 a0 = data[0]; u32 a1 = data[1]; u32 a2 = data[2];
+        u32 a3 = data[3]; u32 a4 = data[4]; u32 a5 = data[5];
+        u32 a6 = data[6]; u32 a7 = data[7]; u32 a8 = data[8];
+        u32 a9 = data[9]; u32 aa = data[10]; u32 ab = data[11];
+        u32 ac = data[12]; u32 ad = data[13];
+        u32 s = 0;
+        for (u32 i = 0; i < n; i++) {
+            s = s ^ a0 ^ a1 ^ a2 ^ a3 ^ a4 ^ a5 ^ a6;
+            s = s ^ a7 ^ a8 ^ a9 ^ aa ^ ab ^ ac ^ ad;
+            s = s ^ (i & 0xff);
+        }
+        return s;
+    }
+)";
+
 TEST(Machine, SlicePackingReducesSpills)
 {
-    // Many live byte values: with slices they pack 4-per-register.
-    // XOR chains keep every intermediate within a byte, so the
-    // squeezer keeps all 14 values live as slices.
-    const char *src = R"(
-        u8 data[16] = "0123456789abcde";
-        u32 main(u32 n) {
-            u32 a0 = data[0]; u32 a1 = data[1]; u32 a2 = data[2];
-            u32 a3 = data[3]; u32 a4 = data[4]; u32 a5 = data[5];
-            u32 a6 = data[6]; u32 a7 = data[7]; u32 a8 = data[8];
-            u32 a9 = data[9]; u32 aa = data[10]; u32 ab = data[11];
-            u32 ac = data[12]; u32 ad = data[13];
-            u32 s = 0;
-            for (u32 i = 0; i < n; i++) {
-                s = s ^ a0 ^ a1 ^ a2 ^ a3 ^ a4 ^ a5 ^ a6;
-                s = s ^ a7 ^ a8 ^ a9 ^ aa ^ ab ^ ac ^ ad;
-                s = s ^ (i & 0xff);
-            }
-            return s;
-        }
-    )";
+    const char *src = kSlicePackingSrc;
     auto baseline_mod = compileSource(src);
     CompiledProgram base = compileModule(*baseline_mod,
                                          TargetISA::Baseline);
@@ -343,6 +352,59 @@ TEST(System, DtsScalesEnergyDown)
     double saving = 1.0 - rd.totalEnergy / rp.totalEnergy;
     EXPECT_GT(saving, 0.10);
     EXPECT_LT(saving, 0.50);
+}
+
+// --- Register allocator live intervals ---
+
+/** Hash of the allocator's live intervals (scan order: vreg, slice
+ *  flag, segments) over every function of @p m selected for @p isa. */
+std::string
+intervalsHash(Module &m, TargetISA isa, size_t *count)
+{
+    m.layoutGlobals();
+    std::map<const Function *, int> ids;
+    int next = 0;
+    for (const auto &f : m.functions())
+        ids[f.get()] = next++;
+    Hash128Builder h;
+    *count = 0;
+    for (const auto &f : m.functions()) {
+        MachFunction mf = selectFunction(*f, ids[f.get()], isa, ids);
+        for (const LiveInterval &iv : liveIntervals(mf)) {
+            h.updateU64(iv.vreg);
+            h.updateU64(iv.isSlice);
+            h.updateU64(iv.segs.size());
+            for (const auto &[s, e] : iv.segs) {
+                h.updateU64(static_cast<uint64_t>(s));
+                h.updateU64(static_cast<uint64_t>(e));
+            }
+            ++*count;
+        }
+    }
+    return h.digest().hex();
+}
+
+// Golden hashes recorded with the map/set-based allocator liveness
+// that the dense bitvector version replaced.
+TEST(RegAllocIntervals, RegisterPressureSpillsUnchanged)
+{
+    auto mod = compileSource(kPressureSrc);
+    size_t n = 0;
+    EXPECT_EQ(intervalsHash(*mod, TargetISA::Baseline, &n),
+              "2921b3a30460ad16dc8887de57d3b4e5");
+    EXPECT_EQ(n, 34u);
+}
+
+TEST(RegAllocIntervals, SlicePackingUnchanged)
+{
+    auto mod = compileSource(kSlicePackingSrc);
+    BitwidthProfile profile;
+    profile.profileRun(*mod, "main", {4});
+    squeezeModule(*mod, profile, SqueezeOptions{});
+    size_t n = 0;
+    EXPECT_EQ(intervalsHash(*mod, TargetISA::BitSpec, &n),
+              "a59cc57109ab8502d8af7aaf855bb70c");
+    EXPECT_EQ(n, 98u);
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 #include "../testutil.h"
 #include "analysis/verifier.h"
 #include "frontend/irgen.h"
+#include "ir/builder.h"
 #include "interp/interpreter.h"
 #include "transform/simplify.h"
 
@@ -25,6 +26,37 @@ TEST(Simplify, RemovesTrivialPhi)
     EXPECT_EQ(simplifyTrivialPhis(*f), 1u);
     EXPECT_TRUE(merge->phis().empty());
     EXPECT_EQ(merge->terminator()->operand(0), c);
+}
+
+TEST(Simplify, PhiCycleCollapsesToZero)
+{
+    // a = phi(a, b), b = phi(a, b): a folds into b, which is then
+    // self-only and becomes zero; the phis' user reads the constant.
+    Module m;
+    Function *f = m.addFunction("f", Type::i32(), {Type::i1()});
+    IRBuilder b(&m);
+    BasicBlock *entry = f->addBlock("entry");
+    BasicBlock *loop = f->addBlock("loop");
+    BasicBlock *exit = f->addBlock("exit");
+    b.setInsertPoint(entry);
+    b.br(loop);
+    b.setInsertPoint(loop);
+    Instruction *pa = b.phi(Type::i32(), "a");
+    Instruction *pb = b.phi(Type::i32(), "b");
+    b.addIncoming(pa, pa, entry);
+    b.addIncoming(pa, pb, loop);
+    b.addIncoming(pb, pa, entry);
+    b.addIncoming(pb, pb, loop);
+    Instruction *sum = b.add(pa, pb);
+    b.condBr(f->arg(0), loop, exit);
+    b.setInsertPoint(exit);
+    b.ret(sum);
+
+    EXPECT_EQ(simplifyTrivialPhis(*f), 2u);
+    EXPECT_TRUE(loop->phis().empty());
+    Constant *zero = m.getConst(Type::i32(), 0);
+    EXPECT_EQ(sum->operand(0), zero);
+    EXPECT_EQ(sum->operand(1), zero);
 }
 
 TEST(Simplify, KeepsRealPhis)

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
+#include "analysis/liveness.h"
 #include "analysis/verifier.h"
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
+#include "ir/builder.h"
+#include "ir/printer.h"
 #include "transform/cfg_prep.h"
 #include "transform/squeezer.h"
+#include "transform/ssa_repair.h"
 
 namespace bitspec
 {
@@ -364,6 +370,101 @@ TEST(Squeezer, VerifierHoldsOnAllConfigs)
                 EXPECT_EQ(in.run("main", {100}), ref.run("main", {100}));
             }
         }
+    }
+}
+
+// --- SSA repair: one batch per function vs one call per value ---
+
+/** A squeezer-shaped repair plan: every non-entry block gets a
+ *  handler predecessor re-entering it with a constant for each of its
+ *  live-in integers, grouped by value in block x liveness order. */
+std::vector<SSARepair>
+planRepairs(Function &f)
+{
+    Liveness lv(f, /*handler_edges=*/false);
+    std::vector<BasicBlock *> targets;
+    for (const auto &bb : f.blocks())
+        if (bb.get() != f.entry())
+            targets.push_back(bb.get());
+    IRBuilder b(f.parent());
+    std::vector<SSARepair> repairs;
+    std::unordered_map<Value *, size_t> index;
+    uint64_t k = 1;
+    for (BasicBlock *bb : targets) {
+        std::vector<Value *> live;
+        for (const Value *v : lv.liveIn(bb))
+            if (v->type().isInt())
+                live.push_back(const_cast<Value *>(v));
+        if (live.empty())
+            continue;
+        BasicBlock *h = f.addBlock(bb->name() + ".handler");
+        b.setInsertPoint(h);
+        b.br(bb);
+        for (Value *v : live) {
+            auto [it, inserted] = index.try_emplace(v, repairs.size());
+            if (inserted)
+                repairs.push_back({v, {}});
+            repairs[it->second].alts.push_back(
+                {bb, h, f.parent()->getConst(v->type(), k++ % 200)});
+        }
+    }
+    return repairs;
+}
+
+TEST(SsaRepair, BatchedMatchesPerValueOnSqueezerFixtures)
+{
+    const char *const fixtures[] = {
+        "u32 main() { u32 x = 0; do { x += 1; } while (x <= 255); "
+        "return x; }",
+        R"(
+        u8 buf[32] = "the quick brown fox jumps over";
+        u32 main(u32 n) {
+            u32 h = 0;
+            for (u32 i = 0; i < n; i++) {
+                u32 c = buf[i % 30];
+                h = (h * 31 + c) % 1000;
+                if (c == 'q') h += 500;
+            }
+            return h;
+        }
+        )",
+        R"(
+        u32 main(u32 n) {
+            u32 sum = 0;
+            u32 i = 0;
+            while (i < n) {
+                sum += i;
+                i += 1;
+            }
+            return sum;
+        }
+        )",
+        R"(
+        u32 mix(u32 a, u32 b) { return (a * 7 + b) % 256; }
+        u32 main(u32 n) {
+            u32 x = 3;
+            for (u32 i = 0; i < n; i++) x = mix(x, i);
+            return x;
+        }
+        )",
+    };
+    for (const char *src : fixtures) {
+        auto per_value = compileSource(src);
+        auto batched = compileSource(src);
+        size_t repaired = 0;
+        for (const auto &f : per_value->functions())
+            for (const SSARepair &r : planRepairs(*f)) {
+                repairSSA(*f, r.orig, r.alts);
+                ++repaired;
+            }
+        for (const auto &f : batched->functions())
+            repairSSA(*f, planRepairs(*f));
+        for (const auto &f : per_value->functions())
+            f->renumber();
+        for (const auto &f : batched->functions())
+            f->renumber();
+        EXPECT_GT(repaired, 0u) << src;
+        EXPECT_EQ(printModule(*per_value), printModule(*batched)) << src;
     }
 }
 
