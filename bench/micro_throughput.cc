@@ -154,9 +154,8 @@ BENCHMARK(BM_FullSystemBuild);
 #ifndef NDEBUG
 /** Loud tripwire: debug-built rates must never enter the perf
  *  trajectory unflagged. bench_gate additionally tags the history
- *  record debug_build=true (from the benchmark JSON context), so a
- *  debug run can never become the rolling baseline for release
- *  runs. */
+ *  record debug_build=true (from this build's NDEBUG), so a debug run
+ *  can never become the rolling baseline for release runs. */
 struct DebugBuildWarning
 {
     DebugBuildWarning()

@@ -6,6 +6,7 @@
 #include <errno.h> // program_invocation_short_name (glibc).
 #include <exception>
 #include <optional>
+#include <unordered_set>
 
 #include "artifact/store.h"
 #include "obs/attribution.h"
@@ -122,6 +123,16 @@ struct HashKeySink
     }
 };
 
+template <typename Sink>
+void
+foldExpanderKey(Sink &s, const ExpanderOptions &e)
+{
+    s.field("unroll", static_cast<uint64_t>(e.unrollFactor));
+    s.field("maxFn", static_cast<uint64_t>(e.maxFunctionSize));
+    s.field("maxLoop", static_cast<uint64_t>(e.maxLoopSize));
+    s.field("expand", e.enabled);
+}
+
 /** @p include_flavour distinguishes the two key uses: the cache /
  *  artifact key embeds the build flavour (a snapshot must never
  *  outlive its producing binary), while the ledger's cell key omits
@@ -142,13 +153,7 @@ foldSystemKey(Sink &s, const Workload &w, const SystemConfig &c,
     appendField("cmpElim", c.squeezeOpts.compareElimination);
     appendField("bitmask", c.squeezeOpts.bitmaskElision);
     appendField("staticKb", c.squeezeOpts.staticAnalysis);
-    appendField("unroll",
-                static_cast<uint64_t>(c.expander.unrollFactor));
-    appendField("maxFn",
-                static_cast<uint64_t>(c.expander.maxFunctionSize));
-    appendField("maxLoop",
-                static_cast<uint64_t>(c.expander.maxLoopSize));
-    appendField("expand", c.expander.enabled);
+    foldExpanderKey(s, c.expander);
     appendField("dts", c.dts);
     appendField("vNom", c.dtsParams.vNominal);
     appendField("vTh", c.dtsParams.vThreshold);
@@ -180,6 +185,21 @@ foldSystemKey(Sink &s, const Workload &w, const SystemConfig &c,
     appendField("pseed", profile_seed);
     if (include_flavour)
         appendField("flavour", artifact::buildFlavour());
+}
+
+/** Key of the train cache: the systemKey fields a TrainedProgram
+ *  depends on (workload name, source hash, expander options, profile
+ *  seed). */
+Hash128
+trainKeyHash(const Workload &w, const ExpanderOptions &expander,
+             uint64_t profile_seed)
+{
+    HashKeySink s;
+    s.text(w.name);
+    s.field("src", fnv1a(w.source));
+    foldExpanderKey(s, expander);
+    s.field("pseed", profile_seed);
+    return s.h.digest();
 }
 
 const char *
@@ -304,8 +324,8 @@ ExperimentRunner::getOrBuild(const Workload &w,
                 }
             }
             if (!sys) {
-                sys = std::make_shared<CachedSystem>(w, config,
-                                                     profile_seed);
+                sys = std::make_shared<CachedSystem>(
+                    getOrTrain(w, config.expander, profile_seed), config);
                 // Absorb the build's squeezer stats once per real
                 // compile (runs reusing this System — and disk-tier
                 // restores — do not re-count them).
@@ -323,6 +343,8 @@ ExperimentRunner::getOrBuild(const Workload &w,
                     store_->publish(key,
                                     sys->sys.makeSnapshot(canonical));
             }
+            if (origin)
+                sys->originReported = true;
             promise.set_value(std::move(sys));
         } catch (...) {
             // Every cell sharing this key sees the build failure.
@@ -341,8 +363,50 @@ ExperimentRunner::getOrBuild(const Workload &w,
     }
     std::shared_ptr<CachedSystem> cached = fut.get();
     if (origin)
-        *origin = builder ? cached->origin : "memory";
+        *origin = builder || !cached->originReported.exchange(true)
+                      ? cached->origin
+                      : "memory";
     return cached;
+}
+
+std::shared_ptr<const TrainedProgram>
+ExperimentRunner::getOrTrain(const Workload &w,
+                             const ExpanderOptions &expander,
+                             uint64_t profile_seed)
+{
+    const Hash128 key = trainKeyHash(w, expander, profile_seed);
+    std::promise<std::shared_ptr<const TrainedProgram>> promise;
+    std::shared_future<std::shared_ptr<const TrainedProgram>> fut;
+    bool builder = false;
+    {
+        std::lock_guard<std::mutex> lock(cacheMu_);
+        auto [it, fresh] = trainCache_.try_emplace(key);
+        if (fresh) {
+            it->second = promise.get_future().share();
+            builder = true;
+            ++stats_.trainsBuilt;
+        } else {
+            ++stats_.trainHits;
+        }
+        fut = it->second;
+    }
+    if (builder) {
+        try {
+            promise.set_value(TrainedProgram::build(
+                w.source, expander,
+                [&w, profile_seed](Module &m) {
+                    w.setInput(m, profile_seed);
+                },
+                {}, w.name));
+        } catch (...) {
+            // Every System of this program sees the training failure.
+            promise.set_exception(std::current_exception());
+        }
+    } else {
+        trace::instant("cache.train_hit", "experiment",
+                       {{"workload", w.name}});
+    }
+    return fut.get();
 }
 
 RunResult
@@ -562,6 +626,40 @@ ExperimentRunner::run(const std::vector<ExperimentCell> &cells)
     std::vector<double> walls(cells.size(), 0.0);
     std::vector<std::future<void>> futs;
     futs.reserve(cells.size());
+
+    // Front halves first. The pool is FIFO and matrices are usually
+    // program-major, so the cells alone would start every worker on
+    // one program, all but one parked on its training run. One build
+    // per untrained program (its first uncached System, disk tier
+    // first) spreads the training runs over the workers instead.
+    // Failures are left for the cells to report.
+    std::vector<const ExperimentCell *> firsts;
+    {
+        std::unordered_set<Hash128, Hash128Hasher> groups;
+        std::lock_guard<std::mutex> lock(cacheMu_);
+        for (const ExperimentCell &c : cells) {
+            if (!c.workload)
+                continue;
+            const Hash128 t =
+                trainKeyHash(*c.workload, c.config.expander, c.profileSeed);
+            if (groups.count(t) || trainCache_.count(t) ||
+                cache_.count(systemKeyHash(*c.workload, c.config,
+                                           c.profileSeed)))
+                continue;
+            groups.insert(t);
+            firsts.push_back(&c);
+        }
+    }
+    for (const ExperimentCell *c : firsts)
+        futs.push_back(pool_.submit([this, c] {
+            trace::nameThisThread("worker");
+            try {
+                getOrBuild(*c->workload, c->config, c->profileSeed);
+            } catch (...) {
+            }
+        }));
+    const size_t builds = futs.size();
+
     for (size_t i = 0; i < cells.size(); ++i) {
         futs.push_back(
             pool_.submit([this, &cells, &results, &walls, i] {
@@ -576,10 +674,12 @@ ExperimentRunner::run(const std::vector<ExperimentCell> &cells)
     // Drain every future before unwinding: tasks reference the local
     // results vector, so no early rethrow. Report the first failure
     // (submission order), matching what the serial loop would throw.
+    for (size_t i = 0; i < builds; ++i)
+        futs[i].get(); // Never throws: the build task swallows.
     std::exception_ptr first;
-    for (auto &f : futs) {
+    for (size_t i = builds; i < futs.size(); ++i) {
         try {
-            f.get();
+            futs[i].get();
         } catch (...) {
             if (!first)
                 first = std::current_exception();
@@ -663,6 +763,7 @@ ExperimentRunner::clearCache()
 {
     std::lock_guard<std::mutex> lock(cacheMu_);
     cache_.clear();
+    trainCache_.clear();
 }
 
 } // namespace bitspec

@@ -5,9 +5,13 @@
  * thread pool and memoizes compiled Systems.
  *
  * Design rules (see DESIGN.md "Experiment engine"):
- *  - Cells are self-contained: each System owns its Module,
- *    training Interpreter and pass pipeline; Cores are constructed
- *    per run. No shared mutable statics anywhere in the pipeline.
+ *  - Cells are self-contained: each System owns a deep clone of its
+ *    program's immutable TrainedProgram (the shared front half) and
+ *    runs its own squeeze and backend; Cores are constructed per
+ *    run. No shared mutable statics anywhere in the pipeline.
+ *  - A program is trained once per runner: TrainedPrograms are cached
+ *    by (workload name, source hash, expander options, profile seed)
+ *    and consulted only when a System is neither cached nor on disk.
  *  - A System is compile-once/run-many. The cache keys a compiled
  *    System by (workload name, FNV-1a of the source, canonicalized
  *    config, profile seed); all run seeds and all series of a binary
@@ -23,6 +27,7 @@
 #ifndef BITSPEC_CORE_EXPERIMENT_H_
 #define BITSPEC_CORE_EXPERIMENT_H_
 
+#include <atomic>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -81,7 +86,10 @@ struct ExperimentStats
     /** In-memory cache misses. Each one either restored a snapshot
      *  from the artifact store (diskHits) or ran a full compile. */
     uint64_t systemsBuilt = 0;
-    uint64_t cacheHits = 0;    ///< Cells served by a cached System.
+    /** System requests served by a cached (or in-flight) System.
+     *  Requests are cells, withSystem() calls and run()'s front-half
+     *  builds; a cell served by a front-half build counts as a hit. */
+    uint64_t cacheHits = 0;
     /** Cache hits that blocked on a build still in flight (the
      *  shared_future was not ready when the requester arrived). */
     uint64_t inflightWaits = 0;
@@ -91,6 +99,11 @@ struct ExperimentStats
     uint64_t diskMisses = 0;  ///< Lookups that fell through to compile.
     uint64_t diskWrites = 0;  ///< Snapshots published after a compile.
     uint64_t diskInvalid = 0; ///< Corrupt/stale artifacts discarded.
+
+    /** Front halves (TrainedProgram) built by this runner. */
+    uint64_t trainsBuilt = 0;
+    /** Compiles served by an already cached front half. */
+    uint64_t trainHits = 0;
 };
 
 /**
@@ -113,7 +126,9 @@ class ExperimentRunner
     /**
      * Execute every cell, in parallel, returning results in
      * submission order. Throws the first failing cell's exception
-     * (after all cells finished or failed).
+     * (after all cells finished or failed). Before the cells, one
+     * build task per front half not yet cached is queued, so workers
+     * train distinct programs in parallel instead of parking on one.
      */
     std::vector<RunResult> run(const std::vector<ExperimentCell> &cells);
 
@@ -138,6 +153,7 @@ class ExperimentRunner
 
     unsigned threadCount() const { return pool_.threadCount(); }
     ExperimentStats stats() const;
+    /** Drops every cached System and TrainedProgram. */
     void clearCache();
 
     /**
@@ -192,15 +208,14 @@ class ExperimentRunner
         System sys;
         std::mutex runMu;
         /** How this instance came to exist: "compile" or "disk".
-         *  Requesters that find it already cached report "memory" in
-         *  their ledger records instead. */
+         *  The first cell served by it reports this origin in its
+         *  ledger record; later ones report "memory". */
         const char *origin = "compile";
+        std::atomic<bool> originReported{false};
 
-        CachedSystem(const Workload &w, const SystemConfig &config,
-                     uint64_t profile_seed)
-            : sys(w.source, config, [&w, profile_seed](Module &m) {
-                  w.setInput(m, profile_seed);
-              })
+        CachedSystem(std::shared_ptr<const TrainedProgram> trained,
+                     const SystemConfig &config)
+            : sys(std::move(trained), config)
         {}
 
         /** Warm start from a disk artifact. */
@@ -211,12 +226,19 @@ class ExperimentRunner
     };
 
     /** @p origin (optional) receives this call's cache provenance:
-     *  the built System's origin when this call compiled/restored it,
-     *  "memory" when an already-cached instance served it. */
+     *  the System's origin for the first call that asks for it (a
+     *  compile or restore with no such call attached, like run()'s
+     *  front-half builds, leaves it to the next one), "memory" for
+     *  every later call. */
     std::shared_ptr<CachedSystem> getOrBuild(const Workload &w,
                                              const SystemConfig &config,
                                              uint64_t profile_seed,
                                              const char **origin = nullptr);
+    /** The cached front half of (@p w, @p expander, @p profile_seed),
+     *  training it on a miss. */
+    std::shared_ptr<const TrainedProgram>
+    getOrTrain(const Workload &w, const ExpanderOptions &expander,
+               uint64_t profile_seed);
     RunResult runCell(const ExperimentCell &cell);
 
     ThreadPool pool_;
@@ -228,6 +250,13 @@ class ExperimentRunner
                        std::shared_future<std::shared_ptr<CachedSystem>>,
                        Hash128Hasher>
         cache_;
+    /** Front halves by trainKeyHash; filled on System compiles only
+     *  (disk restores never train). */
+    std::unordered_map<Hash128,
+                       std::shared_future<
+                           std::shared_ptr<const TrainedProgram>>,
+                       Hash128Hasher>
+        trainCache_;
     /** Disk tier; nullptr when disabled (the default). */
     std::unique_ptr<artifact::ArtifactStore> store_;
     ExperimentStats stats_;

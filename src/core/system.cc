@@ -2,11 +2,9 @@
 
 #include "analysis/pipeline.h"
 #include "analysis/verifier.h"
-#include "frontend/irgen.h"
-#include "interp/interpreter.h"
+#include "ir/clone.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "profile/bitwidth_profile.h"
 #include "support/env.h"
 #include "support/error.h"
 
@@ -79,41 +77,34 @@ SystemConfig::dtsPlusBitspec(Heuristic h)
 System::System(const std::string &source, const SystemConfig &config,
                const std::function<void(Module &)> &train_input,
                const std::vector<uint64_t> &train_args)
+    : System(TrainedProgram::build(source, config.expander, train_input,
+                                   train_args),
+             config)
+{}
+
+System::System(std::shared_ptr<const TrainedProgram> trained,
+               const SystemConfig &config)
     : config_(config), engine_(engineFromEnv())
 {
     trace::Span span("system.build", "compile");
+    if (!trained->workload().empty())
+        span.arg("workload", trained->workload());
     span.arg("squeeze", config_.squeeze ? "1" : "0");
     span.arg("isa", config_.isa == TargetISA::BitSpec ? "bitspec"
                                                       : "baseline");
-    module_ = compileSource(source);
-    if (train_input)
-        train_input(*module_);
-    pipelineCheckpoint(*module_, "frontend:irgen");
+    bsAssert(trained->expanderOptions() == config_.expander,
+             "System: front half expanded under other options");
+    CloneMap map;
+    module_ = cloneModule(trained->module(), &map);
+    pipelineCheckpoint(*module_, "ir:clone");
+    expandStats_ = trained->expandStats();
+    trainIrSteps_ = trained->irSteps();
 
-    expandStats_ = expandModule(*module_, config_.expander);
-    pipelineCheckpoint(*module_, "transform:expander");
-
-    // One persistent training interpreter: a single profiled run yields
-    // both the dynamic IR step count and the bitwidth profile (the
-    // training input used to be executed twice for this).
-    trainInterp_ = std::make_unique<Interpreter>(*module_);
-    // Differential soundness check (BITSPEC_VERIFY_EACH): every value
-    // the training run observes must respect its known-bits ceiling.
-    if (pipelineVerifyEnabled())
-        trainInterp_->enableStaticBoundsCheck();
     if (config_.squeeze) {
-        BitwidthProfile profile;
-        profile.profileRun(*trainInterp_, "main", train_args);
-        trainIrSteps_ = trainInterp_->stats().steps;
-        squeezeStats_ =
-            squeezeModule(*module_, profile, config_.squeezeOpts);
-        // The squeezer restructured the module; cached decoded
-        // functions are stale.
-        trainInterp_->invalidate();
+        squeezeStats_ = squeezeModule(*module_,
+                                      trained->profile().remapped(map),
+                                      config_.squeezeOpts);
         pipelineCheckpoint(*module_, "transform:squeezer");
-    } else {
-        trainInterp_->run("main", train_args);
-        trainIrSteps_ = trainInterp_->stats().steps;
     }
 
     compiled_ = compileModule(*module_, config_.isa);

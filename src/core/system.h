@@ -17,9 +17,9 @@
 
 #include "artifact/snapshot.h"
 #include "backend/compiler.h"
+#include "core/trained_program.h"
 #include "energy/dts.h"
 #include "energy/model.h"
-#include "interp/interpreter.h"
 #include "transform/expander.h"
 #include "transform/squeezer.h"
 #include "uarch/core.h"
@@ -106,13 +106,23 @@ class System
 {
   public:
     /**
-     * Build from C-subset source. @p train_input (optional) mutates
-     * module globals before the profiling run; profiling executes
-     * "main" with @p train_args.
+     * Build from C-subset source: TrainedProgram::build, then the
+     * constructor below. @p train_input (optional) mutates module
+     * globals before the profiling run; profiling executes "main"
+     * with @p train_args.
      */
     System(const std::string &source, const SystemConfig &config,
            const std::function<void(Module &)> &train_input = {},
            const std::vector<uint64_t> &train_args = {});
+
+    /**
+     * Build from a shared front half: clone its module, re-key its
+     * profile onto the clone, then squeeze (when config.squeeze) and
+     * compile. @p trained is never mutated and must have been built
+     * with config.expander.
+     */
+    System(std::shared_ptr<const TrainedProgram> trained,
+           const SystemConfig &config);
 
     /**
      * Warm-start from an artifact-store snapshot: no frontend,
@@ -124,8 +134,7 @@ class System
      * The restored Module carries globals only (run inputs mutate
      * globals by name; nothing downstream of the backend reads IR
      * functions), so run()s are bit-identical to a fresh compile —
-     * ctest-enforced by tests/artifact/artifact_diff_test.cc — but
-     * the training interpreter is not available.
+     * ctest-enforced by tests/artifact/artifact_diff_test.cc.
      */
     System(const artifact::SystemSnapshot &snap,
            const SystemConfig &config);
@@ -171,8 +180,8 @@ class System
     /** Misspeculation policy applied to the core on every later run
      *  (see Core::setMisspecPolicy). Each run re-seeds the core's RNG
      *  with @p seed, so Random runs are independent of run ordering.
-     *  Machine cores only; the training interpreter always trains
-     *  under Hardware semantics. */
+     *  Machine cores only; the training run always trains under
+     *  Hardware semantics. */
     void
     setMisspecPolicy(MisspecPolicy p, uint64_t seed = 0x5eed)
     {
@@ -191,10 +200,8 @@ class System
 
   private:
     SystemConfig config_;
+    /** This System's own copy of the trained module, squeezed. */
     std::unique_ptr<Module> module_;
-    /** Interpreter used for the training run; invalidated whenever a
-     *  transform mutates the module (see Interpreter::invalidate). */
-    std::unique_ptr<Interpreter> trainInterp_;
     CompiledProgram compiled_;
     SqueezeStats squeezeStats_;
     ExpandStats expandStats_;

@@ -123,8 +123,7 @@ class LexerImpl
     [[noreturn]] void
     err(const std::string &msg)
     {
-        fatal(strFormat("lex error at %d:%d: %s", line_, col_,
-                        msg.c_str()));
+        throw CompileError("lex", line_, col_, msg);
     }
 
     bool done() const { return pos_ >= src_.size(); }

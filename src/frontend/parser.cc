@@ -59,15 +59,49 @@ class Parser
         return true;
     }
 
+    [[noreturn]] void
+    fail(const Token &at, const std::string &msg)
+    {
+        throw CompileError("parse", at.line, at.col, msg);
+    }
+
     Token
     expect(Tok kind)
     {
-        if (peek().kind != kind) {
-            fatal(strFormat("parse error at %d:%d: expected '%s', got '%s'",
-                            peek().line, peek().col, tokName(kind),
-                            tokName(peek().kind)));
-        }
+        if (peek().kind != kind)
+            fail(peek(), strFormat("expected '%s', got '%s'",
+                                   tokName(kind), tokName(peek().kind)));
         return advance();
+    }
+
+    /**
+     * Deepest nesting the parser accepts: statements, ternaries,
+     * unary operators, parentheses, constant-expression operators and
+     * binary-operator chains each count one level per nesting. The
+     * parser, irgen and the AST destructors all recurse once per
+     * level, so without a bound a few KB of source overflow the stack.
+     */
+    static constexpr unsigned kMaxDepth = 256;
+
+    /** Enters one nesting level at @p at, for the guard's lifetime. */
+    class Nest
+    {
+      public:
+        Nest(Parser &p, const Token &at) : p_(p) { p_.enter(at); }
+        ~Nest() { --p_.depth_; }
+        Nest(const Nest &) = delete;
+        Nest &operator=(const Nest &) = delete;
+
+      private:
+        Parser &p_;
+    };
+
+    void
+    enter(const Token &at)
+    {
+        if (depth_ == kMaxDepth)
+            fail(at, strFormat("nesting deeper than %u levels", kMaxDepth));
+        ++depth_;
     }
 
     bool
@@ -98,8 +132,7 @@ class Parser
           case Tok::KwI32: return {32, true};
           case Tok::KwI64: return {64, true};
           default:
-            fatal(strFormat("parse error at %d:%d: expected a type",
-                            t.line, t.col));
+            fail(t, "expected a type");
         }
     }
 
@@ -147,6 +180,7 @@ class Parser
     uint64_t
     parseConstExpr()
     {
+        Nest nest(*this, peek());
         if (accept(Tok::Minus))
             return 0 - parseConstExpr();
         if (accept(Tok::Tilde))
@@ -199,6 +233,7 @@ class Parser
     parseStatement()
     {
         const Token &t = peek();
+        Nest nest(*this, t);
         switch (t.kind) {
           case Tok::LBrace:
             return parseBlock();
@@ -392,6 +427,7 @@ class Parser
     std::unique_ptr<Expr>
     parseTernary()
     {
+        Nest nest(*this, peek());
         auto cond = parseLogicalOr();
         if (!accept(Tok::Question))
             return cond;
@@ -407,7 +443,9 @@ class Parser
     parseLogicalOr()
     {
         auto lhs = parseLogicalAnd();
+        const unsigned depth0 = depth_;
         while (peek().kind == Tok::PipePipe) {
+            enter(peek());
             int line = advance().line;
             auto e = makeExpr(ExprKind::Logical, line);
             e->logicalAnd = false;
@@ -415,6 +453,7 @@ class Parser
             e->children.push_back(parseLogicalAnd());
             lhs = std::move(e);
         }
+        depth_ = depth0;
         return lhs;
     }
 
@@ -422,7 +461,9 @@ class Parser
     parseLogicalAnd()
     {
         auto lhs = parseBitOr();
+        const unsigned depth0 = depth_;
         while (peek().kind == Tok::AmpAmp) {
+            enter(peek());
             int line = advance().line;
             auto e = makeExpr(ExprKind::Logical, line);
             e->logicalAnd = true;
@@ -430,6 +471,7 @@ class Parser
             e->children.push_back(parseBitOr());
             lhs = std::move(e);
         }
+        depth_ = depth0;
         return lhs;
     }
 
@@ -438,10 +480,13 @@ class Parser
                 std::initializer_list<std::pair<Tok, BinOp>> ops)
     {
         auto lhs = (this->*sub)();
+        // A chain builds a left-deep tree: one level per operator.
+        const unsigned depth0 = depth_;
         for (;;) {
             bool matched = false;
             for (auto [tok, op] : ops) {
                 if (peek().kind == tok) {
+                    enter(peek());
                     int line = advance().line;
                     auto e = makeExpr(ExprKind::Binary, line);
                     e->binOp = op;
@@ -452,8 +497,10 @@ class Parser
                     break;
                 }
             }
-            if (!matched)
+            if (!matched) {
+                depth_ = depth0;
                 return lhs;
+            }
         }
     }
 
@@ -522,6 +569,7 @@ class Parser
     parseUnary()
     {
         const Token &t = peek();
+        Nest nest(*this, t);
         auto un = [&](UnOp op) {
             advance();
             auto e = makeExpr(ExprKind::Unary, t.line);
@@ -600,14 +648,14 @@ class Parser
             return e;
           }
           default:
-            fatal(strFormat(
-                "parse error at %d:%d: unexpected '%s' in expression",
-                t.line, t.col, tokName(t.kind)));
+            fail(t, strFormat("unexpected '%s' in expression",
+                              tokName(t.kind)));
         }
     }
 
     std::vector<Token> toks_;
     size_t pos_ = 0;
+    unsigned depth_ = 0;
 };
 
 } // namespace

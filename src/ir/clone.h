@@ -6,7 +6,7 @@
 #ifndef BITSPEC_IR_CLONE_H_
 #define BITSPEC_IR_CLONE_H_
 
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/function.h"
@@ -14,11 +14,13 @@
 namespace bitspec
 {
 
+class Module;
+
 /** Mapping from original values/blocks to their clones. */
 struct CloneMap
 {
-    std::map<Value *, Value *> values;
-    std::map<BasicBlock *, BasicBlock *> blocks;
+    std::unordered_map<Value *, Value *> values;
+    std::unordered_map<BasicBlock *, BasicBlock *> blocks;
 
     /** Mapped value, or the value itself when unmapped (e.g. constants,
      *  values defined outside the cloned region). */
@@ -48,6 +50,18 @@ CloneMap cloneBlocks(const std::vector<BasicBlock *> &src_blocks,
 
 /** Clone a single instruction without inserting it anywhere. */
 std::unique_ptr<Instruction> cloneInstruction(const Instruction *inst);
+
+/**
+ * Deep-copy @p src, which must not be squeezed yet (no speculative
+ * regions), into a fresh Module: globals (data and addresses) and
+ * functions (blocks, instructions, dense ids, block-name state).
+ * Operands are remapped into the copy's own constant and GlobalRef
+ * pools, callees to the copied functions. The copy prints identically
+ * and compiles to the same bytes; @p map (optional) receives every
+ * original -> copy value and block pair.
+ */
+std::unique_ptr<Module> cloneModule(const Module &src,
+                                    CloneMap *map = nullptr);
 
 } // namespace bitspec
 

@@ -252,6 +252,22 @@ class Function
         }
     }
 
+    /** Take over @p src's block-name state and dense argument ids
+     *  (matched by position), so a structural copy of @p src names new
+     *  blocks and numbers values exactly as @p src would. */
+    void
+    copyNumberingFrom(const Function &src)
+    {
+        usedNames_ = src.usedNames_;
+        nameCounter_ = src.nameCounter_;
+        argIds_.clear();
+        for (size_t i = 0; i < args_.size() && i < src.args_.size(); ++i) {
+            auto it = src.argIds_.find(src.args_[i].get());
+            if (it != src.argIds_.end())
+                argIds_[args_[i].get()] = it->second;
+        }
+    }
+
   private:
     std::string name_;
     Type retType_;

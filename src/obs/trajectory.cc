@@ -205,9 +205,15 @@ TrajectoryRecord
 recordFromBenchJson(const std::string &json_text)
 {
     TrajectoryRecord rec;
-    rec.buildType =
-        stringAfter(json_text, "library_build_type").value_or("");
-    rec.debugBuild = rec.buildType == "debug";
+    // The flavour of the code that produced the numbers is this
+    // build's own: the JSON's library_build_type describes the system
+    // libbenchmark, not us.
+    rec.buildType = BITSPEC_BUILD_TYPE;
+#ifdef NDEBUG
+    rec.debugBuild = false;
+#else
+    rec.debugBuild = true;
+#endif
 
     auto add = [&rec](const std::string &name,
                       std::optional<double> v) {

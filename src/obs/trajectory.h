@@ -52,7 +52,7 @@ struct TrajectoryRecord
 {
     int schemaVersion = kTrajectorySchemaVersion;
     std::string gitSha = "unknown";
-    std::string buildType; ///< From the bench JSON context.
+    std::string buildType; ///< CMake build type of the recording code.
     std::string timestamp; ///< ISO-8601 UTC; informational only.
     bool debugBuild = false;
     /** Sorted by name (toJsonLine sorts; parse preserves). */
@@ -84,7 +84,9 @@ bool appendHistory(const std::string &path,
 /**
  * Distil a BENCH_micro.json (google-benchmark output with the
  * experiment_smoke sections spliced in) into a record: build type and
- * debug flag from the context, rate.* series from the benchmark
+ * debug flag from this build's own compile definitions (the CMake
+ * build type and NDEBUG; the JSON context's library_build_type only
+ * describes the system libbenchmark), rate.* series from the benchmark
  * counters and the observability section, speedup.* from the
  * experiment_engine grids. Sha/timestamp are left for the caller.
  */

@@ -58,6 +58,20 @@ BitwidthProfile::profileRun(Interpreter &interp, const std::string &fn,
     interp.onAssign = saved;
 }
 
+BitwidthProfile
+BitwidthProfile::remapped(const CloneMap &map) const
+{
+    BitwidthProfile out;
+    out.stats_.reserve(stats_.size());
+    for (const auto &[inst, s] : stats_) {
+        Value *copy = map.get(const_cast<Instruction *>(inst));
+        bsAssert(copy != inst && copy->isInstruction(),
+                 "remapped: profiled instruction missing from the clone");
+        out.stats_.emplace(static_cast<const Instruction *>(copy), s);
+    }
+    return out;
+}
+
 unsigned
 BitwidthProfile::target(const Instruction *inst, Heuristic h) const
 {

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "interp/interpreter.h"
+#include "ir/clone.h"
 #include "ir/module.h"
 
 namespace bitspec
@@ -83,6 +84,10 @@ class BitwidthProfile
      */
     void profileRun(Interpreter &interp, const std::string &fn = "main",
                     const std::vector<uint64_t> &args = {});
+
+    /** This profile re-keyed onto a cloned module: every profiled
+     *  instruction is replaced by its copy under @p map. */
+    BitwidthProfile remapped(const CloneMap &map) const;
 
     /** T(v): target bits for @p inst under @p h; the declared width
      *  when the instruction was never executed. */

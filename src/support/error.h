@@ -29,6 +29,29 @@ class FatalError : public std::runtime_error
     {}
 };
 
+/**
+ * A FatalError at a known position of the input program's source:
+ * "<stage> error at <line>:<col>: <msg>", with the position also
+ * available as fields.
+ */
+class CompileError : public FatalError
+{
+  public:
+    CompileError(const std::string &stage, int line, int col,
+                 const std::string &msg)
+        : FatalError(stage + " error at " + std::to_string(line) + ":" +
+                     std::to_string(col) + ": " + msg),
+          line_(line), col_(col)
+    {}
+
+    int line() const { return line_; }
+    int col() const { return col_; }
+
+  private:
+    int line_;
+    int col_;
+};
+
 /** Error caused by an internal invariant violation (a BitSpec bug). */
 class PanicError : public std::logic_error
 {

@@ -29,6 +29,8 @@ struct ExpanderOptions
     unsigned maxLoopSize = 60;
     /** Master switch (RQ4 disables the whole expander). */
     bool enabled = true;
+
+    bool operator==(const ExpanderOptions &) const = default;
 };
 
 /** Expansion statistics. */

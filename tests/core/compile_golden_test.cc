@@ -12,16 +12,24 @@
  * optimisation of the frontend, expander, squeezer or backend must
  * leave all of it unchanged, so the constants below only move when
  * the generated code is meant to change.
+ *
+ * Both build paths are pinned: the System source constructor, and a
+ * 4-thread ExperimentRunner that trains each program once and builds
+ * its five Systems from the shared front half (plus a second runner
+ * that restores all of them from an artifact store).
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cctype>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "artifact/snapshot.h"
+#include "core/experiment.h"
 #include "core/system.h"
 #include "support/hash.h"
 #include "workloads/workload.h"
@@ -137,9 +145,8 @@ configs()
 }
 
 std::string
-snapshotHash(const Workload &w, const SystemConfig &cfg)
+snapshotHash(const System &sys)
 {
-    System sys(w.source, cfg, [&w](Module &m) { w.setInput(m, 0); });
     const std::vector<uint8_t> bytes =
         artifact::encodeSnapshot(sys.makeSnapshot(""));
     // Header: u32 format version, u64 schema hash, u32 key length.
@@ -148,6 +155,13 @@ snapshotHash(const Workload &w, const SystemConfig &cfg)
     Hash128Builder h;
     h.update(bytes.data() + kHeader, bytes.size() - kHeader);
     return h.digest().hex();
+}
+
+std::string
+snapshotHash(const Workload &w, const SystemConfig &cfg)
+{
+    return snapshotHash(
+        System(w.source, cfg, [&w](Module &m) { w.setInput(m, 0); }));
 }
 
 const Golden *
@@ -171,6 +185,67 @@ TEST_P(CompileGolden, SnapshotBytesMatch)
     for (size_t i = 0; i < cfgs.size(); ++i)
         EXPECT_EQ(snapshotHash(w, cfgs[i].second), g->hash[i])
             << w.name << " / " << cfgs[i].first;
+}
+
+/** Every (workload, config) cell of kGolden, row-major. */
+std::vector<ExperimentCell>
+goldenMatrix()
+{
+    std::vector<ExperimentCell> cells;
+    for (const Golden &g : kGolden)
+        for (const auto &[name, cfg] : configs())
+            cells.emplace_back(&getWorkload(g.workload), cfg);
+    return cells;
+}
+
+/** Checks every System of @p cells on @p runner against kGolden. */
+void
+expectRunnerMatchesGolden(ExperimentRunner &runner,
+                          const std::vector<ExperimentCell> &cells)
+{
+    const size_t ncfg = configs().size();
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const ExperimentCell &c = cells[i];
+        runner.withSystem(*c.workload, c.config, c.profileSeed,
+                          [&](System &sys) {
+                              EXPECT_EQ(snapshotHash(sys),
+                                        kGolden[i / ncfg].hash[i % ncfg])
+                                  << c.workload->name << " / "
+                                  << configs()[i % ncfg].first;
+                          });
+    }
+}
+
+TEST(CompileGoldenRunner, SharedFrontHalvesMatchGolden)
+{
+    const std::vector<ExperimentCell> cells = goldenMatrix();
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("bitspec_golden_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+
+    ExperimentRunner cold(4);
+    cold.enableArtifactStore(dir, 256ull << 20);
+    cold.run(cells);
+    expectRunnerMatchesGolden(cold, cells);
+    ExperimentStats s = cold.stats();
+    EXPECT_EQ(s.systemsBuilt, cells.size());
+    EXPECT_EQ(s.trainsBuilt, std::size(kGolden)); // One per program.
+    EXPECT_EQ(s.trainHits, cells.size() - std::size(kGolden));
+    EXPECT_EQ(s.diskWrites, cells.size());
+
+    // A runner that restores every System from disk never trains.
+    ExperimentRunner warm(4);
+    warm.enableArtifactStore(dir, 256ull << 20);
+    warm.run(cells);
+    expectRunnerMatchesGolden(warm, cells);
+    s = warm.stats();
+    EXPECT_EQ(s.diskHits, cells.size());
+    EXPECT_EQ(s.trainsBuilt, 0u);
+    EXPECT_EQ(s.trainHits, 0u);
+
+    std::filesystem::remove_all(dir);
 }
 
 std::vector<std::string>

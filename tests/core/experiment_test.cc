@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "artifact/store.h"
 #include "core/experiment.h"
 #include "support/error.h"
 #include "workloads/workload.h"
@@ -91,7 +92,9 @@ TEST(ExperimentRunner, CachesSystemAcrossRunSeeds)
     runner.run(cells);
     EXPECT_EQ(runner.stats().cells, 5u);
     EXPECT_EQ(runner.stats().systemsBuilt, 1u);
-    EXPECT_EQ(runner.stats().cacheHits, 4u);
+    // Six requests: run()'s front-half build plus the five cells.
+    EXPECT_EQ(runner.stats().cacheHits, 5u);
+    EXPECT_EQ(runner.stats().trainsBuilt, 1u);
 
     // A different profile seed is a different System.
     runner.evaluate(w, SystemConfig::bitspec(), /*profile_seed=*/1);
@@ -171,6 +174,33 @@ TEST(ExperimentRunner, SystemKeyHashMirrorsCanonicalKey)
     expectFresh(ExperimentRunner::systemKeyHash(w, tweaked, 0));
     SystemConfig nospec = SystemConfig::noSpeculation();
     expectFresh(ExperimentRunner::systemKeyHash(w, nospec, 0));
+}
+
+TEST(ExperimentRunner, KeysAreByteStable)
+{
+    // Artifact file names and ledger joins depend on these bytes: a
+    // refactor of the key code must not move them. (The src= field
+    // moves only when the workload's source text does.)
+    ExperimentCell c(&getWorkload("qsort"),
+                     SystemConfig::dtsPlusBitspec(Heuristic::Avg), 3, 7);
+    c.config.expander.unrollFactor = 2;
+    c.policy = MisspecPolicy::Random;
+    const std::string fields =
+        "qsort;src=16153988558331033996;isa=1;squeeze=1;heuristic=1;"
+        "speculate=1;cmpElim=1;bitmask=1;staticKb=1;unroll=2;maxFn=2000;"
+        "maxLoop=60;expand=1;dts=1;vNom=1.2;vTh=0.34999999999999998;"
+        "alpha=1.3;vMin=0.69999999999999996;fLogic=0.62;"
+        "fAddSub=0.78000000000000003;fMulDiv=1;fMem=0.94999999999999996;"
+        "fBranch=0.69999999999999996;widthAware=0;"
+        "fAddSub8=0.55000000000000004;fLogic8=0.5;errRate=0.0001;recE=60;"
+        "eAlu32=3;eAlu8=0.75;eMulDiv=9;eRfR32=1.2;eRfW32=1.8;"
+        "eRfR8=0.29999999999999999;eRfW8=0.45000000000000001;eIc=6;eDc=8;"
+        "eL2=30;eDram=1500;ePipe=5;eMisspec=20;pseed=3";
+    EXPECT_EQ(ExperimentRunner::cellKey(c),
+              fields + ";rseed=7;engine=default;policy=random;"
+                       "polseed=24301");
+    EXPECT_EQ(ExperimentRunner::systemKey(*c.workload, c.config, 3),
+              fields + ";flavour=" + artifact::buildFlavour());
 }
 
 TEST(ExperimentRunner, WorkerExceptionPropagatesAndRunnerSurvives)

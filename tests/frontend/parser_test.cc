@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "frontend/irgen.h"
 #include "frontend/parser.h"
+#include "interp/interpreter.h"
 #include "support/error.h"
 
 namespace bitspec
@@ -117,6 +121,86 @@ TEST(Parser, SyntaxErrors)
     EXPECT_THROW(parseProgram("u32 x = ;"), FatalError);
     EXPECT_THROW(parseProgram("void f() { if x }"), FatalError);
     EXPECT_THROW(parseProgram("void f() { return 1 + ; }"), FatalError);
+}
+
+TEST(Parser, SyntaxErrorsAreLocated)
+{
+    try {
+        parseProgram("void f() {\n  return 1 + ; }");
+        ADD_FAILURE() << "parsed";
+    } catch (const CompileError &e) {
+        EXPECT_EQ(e.line(), 2);
+        EXPECT_EQ(e.col(), 14);
+        EXPECT_STREQ(e.what(), "fatal: parse error at 2:14: unexpected "
+                               "';' in expression");
+    }
+}
+
+std::string
+repeat(const std::string &s, size_t n)
+{
+    std::string out;
+    for (size_t i = 0; i < n; ++i)
+        out += s;
+    return out;
+}
+
+/** Input that once overflowed the recursive-descent parser's stack
+ *  (rc 139): each must now end in a located diagnostic. */
+struct DeepInput
+{
+    const char *what;
+    std::string source;
+};
+
+std::vector<DeepInput>
+deepInputs()
+{
+    const std::string open = "u32 main() { return ";
+    return {
+        {"4000 nested parentheses",
+         open + repeat("(", 4000) + "1" + repeat(")", 4000) + "; }"},
+        {"20000 nested blocks",
+         "u32 main() { " + repeat("{", 20000) + repeat("}", 20000) +
+             " return 0; }"},
+        {"50000 chained unary ~", open + repeat("~", 50000) + "1; }"},
+        {"50000-term sum", open + repeat("1 + ", 50000) + "1; }"},
+        {"50000-term ||", open + repeat("1 || ", 50000) + "1; }"},
+        {"20000 chained ternaries", open + repeat("1 ? 2 : ", 20000) + "3; }"},
+        {"20000 else-ifs",
+         "u32 main() { u32 x = 0; if (x) x = 1; " +
+             repeat("else if (x) x = 1; ", 20000) + "return x; }"},
+        {"50000 negations in an initialiser",
+         "i32 g = " + repeat("- ", 50000) + "1; u32 main() { return 0; }"},
+    };
+}
+
+TEST(ParserRobustness, DeepNestingIsALocatedDiagnostic)
+{
+    for (const DeepInput &in : deepInputs()) {
+        try {
+            compileSource(in.source);
+            ADD_FAILURE() << in.what << ": compiled";
+        } catch (const CompileError &e) {
+            EXPECT_EQ(e.line(), 1) << in.what;
+            EXPECT_GT(e.col(), 0) << in.what;
+            EXPECT_NE(std::string(e.what()).find(
+                          "nesting deeper than 256 levels"),
+                      std::string::npos)
+                << in.what << ": " << e.what();
+        }
+    }
+}
+
+TEST(ParserRobustness, NestingWithinTheLimitCompiles)
+{
+    // A parenthesis costs two levels (the expression and its unary
+    // operand), a unary operator or a chained operator one.
+    auto m = compileSource("u32 main() { return " + repeat("(", 50) +
+                           repeat("~", 100) + "7" + repeat(")", 50) +
+                           " + " + repeat("1 + ", 100) + "1; }");
+    Interpreter interp(*m);
+    EXPECT_EQ(interp.run("main"), 7u + 101u);
 }
 
 } // namespace

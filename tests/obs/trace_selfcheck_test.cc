@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -87,16 +88,18 @@ TEST_F(TraceSelfcheck, CapturesCompileAndExecuteSpans)
     for (const auto &e : events_)
         if (e.phase == 'B')
             ++begins[e.name];
-    // One per System build (2 workloads x 2 configs = 4)...
+    // One front half per workload, profiled even for the baseline...
+    EXPECT_EQ(begins["system.train"], 2);
+    EXPECT_EQ(begins["frontend.parse"], 2);
+    EXPECT_EQ(begins["profile.train_run"], 2);
+    // ...one per System build (2 workloads x 2 configs = 4)...
     EXPECT_EQ(begins["system.build"], 4);
-    EXPECT_EQ(begins["frontend.parse"], 4);
     EXPECT_EQ(begins["backend.compile"], 4);
     // ...one per cell run...
     EXPECT_EQ(begins["experiment.cell"], 4);
     EXPECT_EQ(begins["core.run"], 4);
     // ...and the squeezer only on the bitspec builds.
     EXPECT_EQ(begins["transform.squeeze"], 2);
-    EXPECT_EQ(begins["profile.train_run"], 2);
     EXPECT_GT(begins["interp.run"], 0);
 }
 
@@ -137,7 +140,7 @@ TEST_F(TraceSelfcheck, TimestampsMonotonicPerThread)
 
 TEST_F(TraceSelfcheck, CacheInstantsRecorded)
 {
-    int hits = 0, misses = 0;
+    int hits = 0, misses = 0, train_hits = 0;
     for (const auto &e : events_) {
         if (e.phase != 'i')
             continue;
@@ -145,9 +148,31 @@ TEST_F(TraceSelfcheck, CacheInstantsRecorded)
             ++hits;
         else if (e.name == "cache.miss")
             ++misses;
+        else if (e.name == "cache.train_hit")
+            ++train_hits;
     }
     EXPECT_EQ(misses, 4); // Four distinct (workload, config) keys.
     EXPECT_EQ(hits, 0);   // Each key evaluated once.
+    // The second config of each workload reuses its front half.
+    EXPECT_EQ(train_hits, 2);
+}
+
+TEST_F(TraceSelfcheck, CompileSpansNameTheirWorkload)
+{
+    // Every layer span nests in one of these two, so a trace can
+    // charge each compile layer to its workload.
+    for (const char *span : {"system.train", "system.build"}) {
+        std::multiset<std::string> named;
+        for (const auto &e : events_)
+            if (e.phase == 'E' && e.name == span)
+                for (const auto &[k, v] : e.args)
+                    if (k == "workload")
+                        named.insert(v);
+        const size_t per = std::string(span) == "system.train" ? 1 : 2;
+        EXPECT_EQ(named.count("CRC32"), per) << span;
+        EXPECT_EQ(named.count("rijndael"), per) << span;
+        EXPECT_EQ(named.size(), 2 * per) << span;
+    }
 }
 
 TEST_F(TraceSelfcheck, ExportedJsonIsWellFormed)

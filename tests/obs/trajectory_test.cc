@@ -12,6 +12,14 @@ namespace bitspec
 namespace
 {
 
+/** The flavour this test, and the library under test, compiled as. */
+constexpr const char *kOwnBuildType = BITSPEC_BUILD_TYPE;
+#ifdef NDEBUG
+constexpr bool kOwnDebugBuild = false;
+#else
+constexpr bool kOwnDebugBuild = true;
+#endif
+
 TrajectoryRecord
 makeRecord(double decoded_rate, bool debug = false)
 {
@@ -329,8 +337,9 @@ TEST(Trajectory, RecordFromBenchJsonExtractsSeries)
   }
 })";
     TrajectoryRecord rec = recordFromBenchJson(json);
-    EXPECT_EQ(rec.buildType, "release");
-    EXPECT_FALSE(rec.debugBuild);
+    // The flavour is this build's, whatever libbenchmark says.
+    EXPECT_EQ(rec.buildType, kOwnBuildType);
+    EXPECT_EQ(rec.debugBuild, kOwnDebugBuild);
     EXPECT_DOUBLE_EQ(
         rec.value("rate.interp_decoded_ir_per_s").value(), 1.23e8);
     EXPECT_DOUBLE_EQ(
@@ -345,9 +354,15 @@ TEST(Trajectory, RecordFromBenchJsonExtractsSeries)
     EXPECT_DOUBLE_EQ(rec.value("obs.trace_overhead_pct").value(), 0.5);
     EXPECT_FALSE(rec.value("rate.no_such_series").has_value());
 
-    TrajectoryRecord dbg = recordFromBenchJson(
-        R"({"context": {"library_build_type": "debug"}})");
-    EXPECT_TRUE(dbg.debugBuild);
+    // Neither a debug system libbenchmark (the common case) nor a
+    // release one says anything about the flavour of our code.
+    for (const char *lib : {"debug", "release"}) {
+        TrajectoryRecord r = recordFromBenchJson(
+            std::string(R"({"context": {"library_build_type": ")") +
+            lib + "\"}}");
+        EXPECT_EQ(r.buildType, kOwnBuildType) << lib;
+        EXPECT_EQ(r.debugBuild, kOwnDebugBuild) << lib;
+    }
 }
 
 } // namespace
