@@ -322,42 +322,18 @@ getFunction(Reader &r)
     return mf;
 }
 
+/** The compile stats section: every backend, squeeze and expand
+ *  field as a u32, each struct in field-table order. */
+template <typename Snapshot, typename Fn>
 void
-putSqueezeStats(Writer &w, const SqueezeStats &s)
+forEachStat(Snapshot &snap, Fn &&fn)
 {
-    w.u32(s.narrowed);
-    w.u32(s.regions);
-    w.u32(s.specTruncs);
-    w.u32(s.comparesEliminated);
-    w.u32(s.bitmasksElided);
-    w.u32(s.staticNarrowed);
-    w.u32(s.checksDropped);
-    w.u32(s.regionsElided);
-    w.u32(s.lintProvenSafe);
-    w.u32(s.lintProvenUnsafe);
-    w.u32(s.lintSpeculative);
-    w.u32(s.lintSpecLeaks);
-    w.u32(s.lintLeaksDischarged);
-}
-
-SqueezeStats
-getSqueezeStats(Reader &r)
-{
-    SqueezeStats s;
-    s.narrowed = r.u32();
-    s.regions = r.u32();
-    s.specTruncs = r.u32();
-    s.comparesEliminated = r.u32();
-    s.bitmasksElided = r.u32();
-    s.staticNarrowed = r.u32();
-    s.checksDropped = r.u32();
-    s.regionsElided = r.u32();
-    s.lintProvenSafe = r.u32();
-    s.lintProvenUnsafe = r.u32();
-    s.lintSpeculative = r.u32();
-    s.lintSpecLeaks = r.u32();
-    s.lintLeaksDischarged = r.u32();
-    return s;
+    for (const auto &f : fieldsOf<BackendStats>())
+        fn(snap.backendStats.*f.member);
+    for (const auto &f : fieldsOf<SqueezeStats>())
+        fn(snap.squeezeStats.*f.member);
+    for (const auto &f : fieldsOf<ExpandStats>())
+        fn(snap.expandStats.*f.member);
 }
 
 } // namespace
@@ -408,15 +384,7 @@ encodeSnapshot(const SystemSnapshot &snap)
     for (uint32_t f : prog.funcOfIndex)
         w.u32(f);
 
-    w.u32(snap.backendStats.staticSpillLoads);
-    w.u32(snap.backendStats.staticSpillStores);
-    w.u32(snap.backendStats.staticCopies);
-    w.u32(snap.backendStats.spilledVRegs);
-    w.u32(snap.backendStats.staticInsts);
-    w.u32(snap.backendStats.skeletonInsts);
-    putSqueezeStats(w, snap.squeezeStats);
-    w.u32(snap.expandStats.inlinedCalls);
-    w.u32(snap.expandStats.unrolledLoops);
+    forEachStat(snap, [&w](unsigned v) { w.u32(v); });
     w.u64(snap.profiledIrSteps);
 
     w.u32(static_cast<uint32_t>(snap.globals.size()));
@@ -460,15 +428,7 @@ decodeSnapshot(const uint8_t *data, size_t size)
     for (uint32_t i = 0; i < n_foi; ++i)
         snap.program.funcOfIndex.push_back(r.u32());
 
-    snap.backendStats.staticSpillLoads = r.u32();
-    snap.backendStats.staticSpillStores = r.u32();
-    snap.backendStats.staticCopies = r.u32();
-    snap.backendStats.spilledVRegs = r.u32();
-    snap.backendStats.staticInsts = r.u32();
-    snap.backendStats.skeletonInsts = r.u32();
-    snap.squeezeStats = getSqueezeStats(r);
-    snap.expandStats.inlinedCalls = r.u32();
-    snap.expandStats.unrolledLoops = r.u32();
+    forEachStat(snap, [&r](unsigned &v) { v = r.u32(); });
     snap.profiledIrSteps = r.u64();
 
     uint32_t n_globals = r.count(4 + 4 + 8 + 4 + 8);

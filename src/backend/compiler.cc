@@ -38,11 +38,9 @@ compileModule(Module &m, TargetISA isa)
         {
             trace::Span s("backend.regalloc", "compile");
             s.arg("function", f->name());
-            BackendStats fs = allocateRegisters(mf);
-            out.stats.staticSpillLoads += fs.staticSpillLoads;
-            out.stats.staticSpillStores += fs.staticSpillStores;
-            out.stats.staticCopies += fs.staticCopies;
-            out.stats.spilledVRegs += fs.spilledVRegs;
+            // staticInsts is summed here too but reassigned from the
+            // linked program below.
+            addFields(out.stats, allocateRegisters(mf));
         }
         {
             trace::Span s("backend.layout", "compile");

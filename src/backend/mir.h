@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "isa/isa.h"
+#include "support/fields.h"
 
 namespace bitspec
 {
@@ -136,6 +137,15 @@ struct BackendStats
     unsigned staticInsts = 0;
     unsigned skeletonInsts = 0;
 };
+
+BITSPEC_FIELD_TABLE(
+    BackendStats, unsigned,
+    {&BackendStats::staticSpillLoads, "static_spill_loads"},
+    {&BackendStats::staticSpillStores, "static_spill_stores"},
+    {&BackendStats::staticCopies, "static_copies"},
+    {&BackendStats::spilledVRegs, "spilled_vregs"},
+    {&BackendStats::staticInsts, "static_insts"},
+    {&BackendStats::skeletonInsts, "skeleton_insts"});
 
 } // namespace bitspec
 

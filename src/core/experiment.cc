@@ -509,46 +509,18 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
     reg.histogram("run.cell_wall_sec", wl).record(wall_sec);
 
     if (ledger) {
-        fillRunTelemetry(rec, out.counters, out.l1i, out.l1d, out.l2,
-                         out.dram, out.energy, out.totalEnergy,
-                         out.epi, out.meanVoltage, out.returnValue,
-                         out.outputChecksum, wall_sec);
+        fillRunTelemetry(rec, out.telemetry(), out.energy,
+                         out.totalEnergy, out.epi, out.meanVoltage,
+                         out.returnValue, out.outputChecksum, wall_sec);
         rec.setField("log.errors",
                      static_cast<double>(
                          log::count(log::Level::Error) - log_errors0));
         rec.setField("log.warns",
                      static_cast<double>(log::count(log::Level::Warn) -
                                          log_warns0));
-        const SqueezeStats &sq = out.squeezeStats;
-        rec.setField("squeeze.narrowed", sq.narrowed);
-        rec.setField("squeeze.regions", sq.regions);
-        rec.setField("squeeze.spec_truncs", sq.specTruncs);
-        rec.setField("squeeze.compares_eliminated",
-                     sq.comparesEliminated);
-        rec.setField("squeeze.bitmasks_elided", sq.bitmasksElided);
-        rec.setField("squeeze.static_narrowed", sq.staticNarrowed);
-        rec.setField("squeeze.checks_dropped", sq.checksDropped);
-        rec.setField("squeeze.regions_elided", sq.regionsElided);
-        rec.setField("squeeze.lint_proven_safe", sq.lintProvenSafe);
-        rec.setField("squeeze.lint_proven_unsafe",
-                     sq.lintProvenUnsafe);
-        rec.setField("squeeze.lint_speculative", sq.lintSpeculative);
-        rec.setField("squeeze.lint_spec_leaks", sq.lintSpecLeaks);
-        rec.setField("squeeze.lint_leaks_discharged",
-                     sq.lintLeaksDischarged);
-        rec.setField("expand.inlined_calls",
-                     out.expandStats.inlinedCalls);
-        rec.setField("expand.unrolled_loops",
-                     out.expandStats.unrolledLoops);
-        const BackendStats &be = out.backendStats;
-        rec.setField("backend.static_spill_loads",
-                     be.staticSpillLoads);
-        rec.setField("backend.static_spill_stores",
-                     be.staticSpillStores);
-        rec.setField("backend.static_copies", be.staticCopies);
-        rec.setField("backend.spilled_vregs", be.spilledVRegs);
-        rec.setField("backend.static_insts", be.staticInsts);
-        rec.setField("backend.skeleton_insts", be.skeletonInsts);
+        rec.setFields("squeeze.", out.squeezeStats);
+        rec.setFields("expand.", out.expandStats);
+        rec.setFields("backend.", out.backendStats);
 
         if (detail) {
             const auto &sites = amap->sites();

@@ -211,6 +211,23 @@ System::run(const std::function<void(Module &)> &run_input,
         tracks = &traced_tracks;
 
     RunResult out;
+    // Both engines model the same hardware and expose the same
+    // observer and telemetry surface.
+    auto run_on = [&](auto &core) {
+        core.setAttribution(observers.attribution);
+        core.setBlockProfiler(observers.blocks);
+        core.setCounterTracks(tracks);
+        core.setMisspecPolicy(misspecPolicy_, misspecSeed_);
+        out.returnValue = core.run(args);
+        out.outputChecksum = core.outputChecksum();
+        out.counters = core.counters();
+        const MemoryHierarchy &mem = core.memory();
+        out.l1i = mem.l1i();
+        out.l1d = mem.l1d();
+        out.l2 = mem.l2();
+        out.dram = mem.dram();
+        out.energy = computeEnergy(out.counters, mem, config_.energy);
+    };
     if (engine_ == CoreEngine::Fast) {
         if (!fastCore_) {
             predecoded_ = std::make_unique<PredecodedProgram>(
@@ -223,38 +240,10 @@ System::run(const std::function<void(Module &)> &run_input,
             // the immutable pre-decoded code.
             fastCore_->reset();
         }
-        FastCore &core = *fastCore_;
-        core.setAttribution(observers.attribution);
-        core.setBlockProfiler(observers.blocks);
-        core.setCounterTracks(tracks);
-        core.setMisspecPolicy(misspecPolicy_, misspecSeed_);
-        out.returnValue = core.run(args);
-        out.outputChecksum = core.outputChecksum();
-        out.counters = core.counters();
-        out.l1i = core.memory().l1i();
-        out.l1d = core.memory().l1d();
-        out.l2 = core.memory().l2();
-        out.dram = core.memory().dram();
-        out.energy =
-            computeEnergy(core.counters(), core.memory(),
-                          config_.energy);
+        run_on(*fastCore_);
     } else {
         Core core(compiled_.program, *module_);
-        if (observers.attribution)
-            core.setAttribution(observers.attribution);
-        if (observers.blocks)
-            core.setBlockProfiler(observers.blocks);
-        if (tracks)
-            core.setCounterTracks(tracks);
-        core.setMisspecPolicy(misspecPolicy_, misspecSeed_);
-        out.returnValue = core.run(args);
-        out.outputChecksum = core.outputChecksum();
-        out.counters = core.counters();
-        out.l1i = core.memory().l1i();
-        out.l1d = core.memory().l1d();
-        out.l2 = core.memory().l2();
-        out.dram = core.memory().dram();
-        out.energy = computeEnergy(core, config_.energy);
+        run_on(core);
     }
     if (config_.dts) {
         DtsResult d =

@@ -25,6 +25,7 @@
 #include "uarch/core.h"
 #include "uarch/fast_core.h"
 #include "uarch/predecode.h"
+#include "uarch/telemetry.h"
 
 namespace bitspec
 {
@@ -99,6 +100,8 @@ struct RunResult
     SqueezeStats squeezeStats;
     ExpandStats expandStats;
     BackendStats backendStats;
+
+    RunTelemetry telemetry() const { return {counters, l1i, l1d, l2, dram}; }
 };
 
 /** A compiled system instance, reusable across inputs. */

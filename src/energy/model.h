@@ -20,7 +20,6 @@
 #define BITSPEC_ENERGY_MODEL_H_
 
 #include "uarch/cache.h"
-#include "uarch/core.h"
 #include "uarch/counters.h"
 
 namespace bitspec
@@ -64,10 +63,6 @@ struct EnergyBreakdown
  *  core engine). */
 EnergyBreakdown computeEnergy(const ActivityCounters &counters,
                               const MemoryHierarchy &mem,
-                              const EnergyParams &params = {});
-
-/** Evaluate the model on one finished core run. */
-EnergyBreakdown computeEnergy(const Core &core,
                               const EnergyParams &params = {});
 
 /** Energy per instruction (pJ/instr). */

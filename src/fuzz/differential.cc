@@ -30,33 +30,6 @@ setFuzzInputs(Module &m, uint64_t seed)
     }
 }
 
-/** First differing ActivityCounters field, or "" when equal. The
- *  two machine engines model identical hardware, so their counters
- *  must match bit-for-bit under every policy. */
-std::string
-countersDiff(const ActivityCounters &a, const ActivityCounters &b)
-{
-#define BITSPEC_FUZZ_CMP(field)                                       \
-    if (a.field != b.field)                                           \
-        return strFormat(#field " %llu != %llu",                      \
-                         static_cast<unsigned long long>(a.field),    \
-                         static_cast<unsigned long long>(b.field));
-    BITSPEC_FUZZ_CMP(instructions)
-    BITSPEC_FUZZ_CMP(cycles)
-    BITSPEC_FUZZ_CMP(misspeculations)
-    BITSPEC_FUZZ_CMP(alu32)
-    BITSPEC_FUZZ_CMP(alu8)
-    BITSPEC_FUZZ_CMP(mulDiv)
-    BITSPEC_FUZZ_CMP(loads)
-    BITSPEC_FUZZ_CMP(stores)
-    BITSPEC_FUZZ_CMP(branches)
-    BITSPEC_FUZZ_CMP(takenBranches)
-    BITSPEC_FUZZ_CMP(calls)
-    BITSPEC_FUZZ_CMP(outputs)
-#undef BITSPEC_FUZZ_CMP
-    return "";
-}
-
 } // namespace
 
 Workload
@@ -205,11 +178,12 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
                     results[i].outputChecksum),
                 static_cast<unsigned long long>(want_sum)));
     }
-    // Legacy cell i and fast cell i+3 ran the same policy and must
-    // agree counter-for-counter.
+    // Legacy cell i and fast cell i+3 ran the same policy and model
+    // identical hardware: counters, caches and DRAM must agree field
+    // for field.
     for (size_t i = 0; i < 3 && i + 3 < results.size(); ++i) {
-        std::string diff = countersDiff(results[i].counters,
-                                        results[i + 3].counters);
+        std::string diff = firstTelemetryDiff(
+            results[i].telemetry(), results[i + 3].telemetry());
         if (!diff.empty())
             diverge(strFormat("core-vs-fast/%s: %s",
                               misspecPolicyName(kPolicies[i]),

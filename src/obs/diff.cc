@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 
+#include "obs/json.h"
 #include "support/str.h"
 
 namespace bitspec
@@ -17,24 +17,6 @@ bool
 hasPrefix(const std::string &s, const std::string &prefix)
 {
     return s.rfind(prefix, 0) == 0;
-}
-
-std::string
-fmtNum(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-void
-jsonEscape(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
 }
 
 /** Pipeline stage a field family is produced by. */
@@ -376,55 +358,33 @@ formatLedgerDiff(const LedgerDiff &diff, bool verbose)
 std::string
 ledgerDiffToJson(const LedgerDiff &diff)
 {
-    std::string out = strFormat(
-        "{\"joined\":%zu,\"only_a\":%zu,\"only_b\":%zu,"
-        "\"regressed_cells\":%zu,\"diverged_cells\":%zu,"
-        "\"improved_cells\":%zu,\"clean\":%s,\"cells\":[",
-        diff.cells.size(), diff.onlyA.size(), diff.onlyB.size(),
-        diff.regressedCells, diff.divergedCells, diff.improvedCells,
-        diff.clean() ? "true" : "false");
-    bool first = true;
+    auto flag = [](bool b) { return b ? "true" : "false"; };
+    json::Writer w;
+    w.open('{').key("joined").u64(diff.cells.size());
+    w.key("only_a").u64(diff.onlyA.size());
+    w.key("only_b").u64(diff.onlyB.size());
+    w.key("regressed_cells").u64(diff.regressedCells);
+    w.key("diverged_cells").u64(diff.divergedCells);
+    w.key("improved_cells").u64(diff.improvedCells);
+    w.key("clean").raw(flag(diff.clean())).key("cells").open('[');
     for (const CellDiff &cell : diff.cells) {
         if (cell.drifts.empty())
             continue; // Clean cells stay out of the verdict payload.
-        if (!first)
-            out += ",";
-        first = false;
-        out += "{\"cell_key\":\"";
-        jsonEscape(out, cell.cellKey);
-        out += "\",\"workload\":\"";
-        jsonEscape(out, cell.workload);
-        out += "\",\"engine\":\"";
-        jsonEscape(out, cell.engine);
-        out += "\",\"policy\":\"";
-        jsonEscape(out, cell.policy);
-        out += strFormat("\",\"regressed\":%s,\"diverged\":%s",
-                         cell.regressed ? "true" : "false",
-                         cell.diverged ? "true" : "false");
-        out += ",\"stage\":\"";
-        jsonEscape(out, cell.stage);
-        out += "\",\"region\":\"";
-        jsonEscape(out, cell.region);
-        out += "\",\"block\":\"";
-        jsonEscape(out, cell.block);
-        out += "\",\"drifts\":[";
-        for (size_t i = 0; i < cell.drifts.size(); ++i) {
-            const FieldDrift &d = cell.drifts[i];
-            if (i)
-                out += ",";
-            out += "{\"name\":\"";
-            jsonEscape(out, d.name);
-            out += "\",\"a\":" + fmtNum(d.a) +
-                   ",\"b\":" + fmtNum(d.b) +
-                   ",\"delta_pct\":" + fmtNum(d.deltaPct) +
-                   ",\"class\":\"";
-            out += driftClassName(d.cls);
-            out += "\"}";
+        w.open('{').key("cell_key").str(cell.cellKey);
+        w.key("workload").str(cell.workload).key("engine").str(cell.engine);
+        w.key("policy").str(cell.policy);
+        w.key("regressed").raw(flag(cell.regressed));
+        w.key("diverged").raw(flag(cell.diverged));
+        w.key("stage").str(cell.stage).key("region").str(cell.region);
+        w.key("block").str(cell.block).key("drifts").open('[');
+        for (const FieldDrift &d : cell.drifts) {
+            w.open('{').key("name").str(d.name).key("a").num(d.a);
+            w.key("b").num(d.b).key("delta_pct").num(d.deltaPct);
+            w.key("class").str(driftClassName(d.cls)).close('}');
         }
-        out += "]}";
+        w.close(']').close('}');
     }
-    out += "]}";
-    return out;
+    return w.close(']').close('}').text();
 }
 
 } // namespace bitspec

@@ -6,12 +6,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 
+#include "obs/json.h"
 #include "support/env.h"
 #include "support/log.h"
 
@@ -23,125 +23,25 @@ namespace bitspec
 namespace
 {
 
-void
-jsonEscape(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-}
-
-/** %.17g: enough digits that parse(fmtNum(v)) == v bit-for-bit, which
- *  the validator's exact-reconciliation checks rely on. */
-std::string
-fmtNum(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::optional<double>
-numberAfter(const std::string &text, const std::string &key,
-            size_t from = 0)
-{
-    size_t at = text.find("\"" + key + "\":", from);
-    if (at == std::string::npos)
-        return std::nullopt;
-    const char *p = text.c_str() + at + key.size() + 3;
-    char *end = nullptr;
-    double v = std::strtod(p, &end);
-    if (end == p)
-        return std::nullopt;
-    return v;
-}
-
-/** Like numberAfter but full 64-bit exact (seeds, event counts). */
-std::optional<uint64_t>
-u64After(const std::string &text, const std::string &key,
-         size_t from = 0)
-{
-    size_t at = text.find("\"" + key + "\":", from);
-    if (at == std::string::npos)
-        return std::nullopt;
-    const char *p = text.c_str() + at + key.size() + 3;
-    char *end = nullptr;
-    uint64_t v = std::strtoull(p, &end, 10);
-    if (end == p)
-        return std::nullopt;
-    return v;
-}
-
-std::optional<std::string>
-stringAfter(const std::string &text, const std::string &key,
-            size_t from = 0)
-{
-    size_t at = text.find("\"" + key + "\":", from);
-    if (at == std::string::npos)
-        return std::nullopt;
-    size_t open = text.find('"', at + key.size() + 3);
-    if (open == std::string::npos)
-        return std::nullopt;
-    std::string out;
-    for (size_t i = open + 1; i < text.size(); ++i) {
-        char c = text[i];
-        if (c == '\\' && i + 1 < text.size()) {
-            out += text[++i];
-            continue;
-        }
-        if (c == '"')
-            return out;
-        out += c;
-    }
-    return std::nullopt;
-}
-
-/** Index of the `}` matching the `{` at @p open, skipping over string
- *  contents; npos when unbalanced (torn line). */
-size_t
-matchBrace(const std::string &s, size_t open)
-{
-    int depth = 0;
-    bool in_string = false;
-    for (size_t i = open; i < s.size(); ++i) {
-        char c = s[i];
-        if (in_string) {
-            if (c == '\\')
-                ++i;
-            else if (c == '"')
-                in_string = false;
-            continue;
-        }
-        if (c == '"')
-            in_string = true;
-        else if (c == '{')
-            ++depth;
-        else if (c == '}' && --depth == 0)
-            return i;
-    }
-    return std::string::npos;
-}
-
-void
-appendStr(std::string &out, const char *key, const std::string &v)
-{
-    out += ",\"";
-    out += key;
-    out += "\":\"";
-    jsonEscape(out, v);
-    out += "\"";
-}
-
-void
-appendU64(std::string &out, const char *key, uint64_t v)
-{
-    out += ",\"";
-    out += key;
-    out += "\":";
-    out += std::to_string(v);
-}
+/** Provenance strings, then seeds, in serialization order (the
+ *  checksum follows the seeds); writer and parser both walk these. */
+constexpr Field<LedgerRecord, std::string> kProvenance[] = {
+    {&LedgerRecord::kind, "kind"},
+    {&LedgerRecord::flavour, "flavour"},
+    {&LedgerRecord::bench, "bench"},
+    {&LedgerRecord::workload, "workload"},
+    {&LedgerRecord::cellKey, "cell_key"},
+    {&LedgerRecord::systemKey, "system_key"},
+    {&LedgerRecord::artifactKey, "artifact_key"},
+    {&LedgerRecord::cacheSource, "cache_source"},
+    {&LedgerRecord::engine, "engine"},
+    {&LedgerRecord::policy, "policy"},
+};
+constexpr Field<LedgerRecord, uint64_t> kSeeds[] = {
+    {&LedgerRecord::profileSeed, "profile_seed"},
+    {&LedgerRecord::runSeed, "run_seed"},
+    {&LedgerRecord::policySeed, "policy_seed"},
+};
 
 } // namespace
 
@@ -166,48 +66,16 @@ LedgerRecord::setField(const std::string &name, double value)
 }
 
 void
-fillRunTelemetry(LedgerRecord &rec, const ActivityCounters &c,
-                 const CacheStats &l1i, const CacheStats &l1d,
-                 const CacheStats &l2, const DramStats &dram,
+fillRunTelemetry(LedgerRecord &rec, const RunTelemetry &hw,
                  const EnergyBreakdown &energy, double total_pj,
                  double epi_pj, double mean_v, uint32_t return_value,
                  uint64_t output_checksum, double wall_sec)
 {
-    auto u = [&rec](const char *name, uint64_t v) {
-        rec.setField(name, static_cast<double>(v));
-    };
-    u("counters.instructions", c.instructions);
-    u("counters.cycles", c.cycles);
-    u("counters.alu32", c.alu32);
-    u("counters.alu8", c.alu8);
-    u("counters.mul_div", c.mulDiv);
-    u("counters.rf_read32", c.rfRead32);
-    u("counters.rf_write32", c.rfWrite32);
-    u("counters.rf_read8", c.rfRead8);
-    u("counters.rf_write8", c.rfWrite8);
-    u("counters.loads", c.loads);
-    u("counters.stores", c.stores);
-    u("counters.branches", c.branches);
-    u("counters.taken_branches", c.takenBranches);
-    u("counters.calls", c.calls);
-    u("counters.misspeculations", c.misspeculations);
-    u("counters.dyn_spill_loads", c.dynSpillLoads);
-    u("counters.dyn_spill_stores", c.dynSpillStores);
-    u("counters.dyn_copies", c.dynCopies);
-    u("counters.outputs", c.outputs);
-
-    u("cache.l1i.accesses", l1i.accesses);
-    u("cache.l1i.misses", l1i.misses);
-    u("cache.l1i.writebacks", l1i.writebacks);
-    u("cache.l1d.accesses", l1d.accesses);
-    u("cache.l1d.misses", l1d.misses);
-    u("cache.l1d.writebacks", l1d.writebacks);
-    u("cache.l2.accesses", l2.accesses);
-    u("cache.l2.misses", l2.misses);
-    u("cache.l2.writebacks", l2.writebacks);
-    u("dram.reads", dram.reads);
-    u("dram.writes", dram.writes);
-
+    forEachTelemetrySection(
+        [&rec](const char *prefix, const auto &section) {
+            rec.setFields(prefix, section);
+        },
+        hw);
     rec.setField("energy.alu_pj", energy.alu);
     rec.setField("energy.regfile_pj", energy.regfile);
     rec.setField("energy.dcache_pj", energy.dcache);
@@ -248,266 +116,105 @@ captureBitspecEnv()
 std::string
 toJsonLine(const LedgerRecord &rec)
 {
-    std::string out = "{\"schema_version\":" +
-                      std::to_string(rec.schemaVersion) +
-                      ",\"kind\":\"";
-    jsonEscape(out, rec.kind);
-    out += "\"";
-    appendStr(out, "flavour", rec.flavour);
-    appendStr(out, "bench", rec.bench);
-    appendStr(out, "workload", rec.workload);
-    appendStr(out, "cell_key", rec.cellKey);
-    appendStr(out, "system_key", rec.systemKey);
-    appendStr(out, "artifact_key", rec.artifactKey);
-    appendStr(out, "cache_source", rec.cacheSource);
-    appendStr(out, "engine", rec.engine);
-    appendStr(out, "policy", rec.policy);
-    appendU64(out, "profile_seed", rec.profileSeed);
-    appendU64(out, "run_seed", rec.runSeed);
-    appendU64(out, "policy_seed", rec.policySeed);
-    appendStr(out, "output_checksum", rec.outputChecksum);
-
     std::vector<std::pair<std::string, std::string>> env = rec.env;
     std::sort(env.begin(), env.end());
-    out += ",\"env\":{";
-    for (size_t i = 0; i < env.size(); ++i) {
-        if (i)
-            out += ",";
-        out += "\"";
-        jsonEscape(out, env[i].first);
-        out += "\":\"";
-        jsonEscape(out, env[i].second);
-        out += "\"";
-    }
-    out += "}";
-
     std::vector<LedgerField> fields = rec.fields;
     std::sort(fields.begin(), fields.end(),
               [](const LedgerField &a, const LedgerField &b) {
                   return a.name < b.name;
               });
-    out += ",\"fields\":{";
-    for (size_t i = 0; i < fields.size(); ++i) {
-        if (i)
-            out += ",";
-        out += "\"";
-        jsonEscape(out, fields[i].name);
-        out += "\":" + fmtNum(fields[i].value);
-    }
-    out += "}";
 
-    out += ",\"regions\":[";
-    for (size_t i = 0; i < rec.regions.size(); ++i) {
-        const LedgerRegionRow &r = rec.regions[i];
-        if (i)
-            out += ",";
-        out += "{\"function\":\"";
-        jsonEscape(out, r.function);
-        out += "\"";
-        appendU64(out, "region", static_cast<uint64_t>(
-                                     r.regionId < 0 ? 0 : r.regionId));
-        appendU64(out, "line",
-                  static_cast<uint64_t>(r.srcLine < 0 ? 0 : r.srcLine));
-        appendU64(out, "entries", r.entries);
-        appendU64(out, "misspecs", r.misspecs);
-        appendU64(out, "spec_insts", r.specInsts);
-        appendU64(out, "handler_insts", r.handlerInsts);
-        appendU64(out, "handler_cycles", r.handlerCycles);
-        out += "}";
+    json::Writer w;
+    w.open('{').key("schema_version").raw(
+        std::to_string(rec.schemaVersion));
+    for (const auto &f : kProvenance)
+        w.key(f.name).str(rec.*f.member);
+    for (const auto &f : kSeeds)
+        w.key(f.name).u64(rec.*f.member);
+    w.key("output_checksum").str(rec.outputChecksum);
+    w.key("env").open('{');
+    for (const auto &[name, value] : env)
+        w.key(name).str(value);
+    w.close('}').key("fields").open('{');
+    for (const LedgerField &f : fields)
+        w.key(f.name).num(f.value);
+    auto id = [](int v) { return static_cast<uint64_t>(std::max(v, 0)); };
+    w.close('}').key("regions").open('[');
+    for (const LedgerRegionRow &r : rec.regions) {
+        w.open('{').key("function").str(r.function);
+        w.key("region").u64(id(r.regionId)).key("line").u64(id(r.srcLine));
+        w.key("entries").u64(r.entries).key("misspecs").u64(r.misspecs);
+        w.key("spec_insts").u64(r.specInsts);
+        w.key("handler_insts").u64(r.handlerInsts);
+        w.key("handler_cycles").u64(r.handlerCycles).close('}');
     }
-    out += "]";
-
-    out += ",\"heat\":[";
-    for (size_t i = 0; i < rec.heat.size(); ++i) {
-        const LedgerHeatRow &h = rec.heat[i];
-        if (i)
-            out += ",";
-        out += "{\"function\":\"";
-        jsonEscape(out, h.function);
-        out += "\",\"block\":\"";
-        jsonEscape(out, h.block);
-        out += "\"";
-        appendU64(out, "region", static_cast<uint64_t>(
-                                     h.regionId < 0 ? 0 : h.regionId));
-        appendU64(out, "line",
-                  static_cast<uint64_t>(h.srcLine < 0 ? 0 : h.srcLine));
-        appendU64(out, "entries", h.entries);
-        appendU64(out, "insts", h.insts);
-        appendU64(out, "cycles", h.cycles);
-        appendU64(out, "misspecs", h.misspecs);
-        out += "}";
+    w.close(']').key("heat").open('[');
+    for (const LedgerHeatRow &h : rec.heat) {
+        w.open('{').key("function").str(h.function);
+        w.key("block").str(h.block);
+        w.key("region").u64(id(h.regionId)).key("line").u64(id(h.srcLine));
+        w.key("entries").u64(h.entries).key("insts").u64(h.insts);
+        w.key("cycles").u64(h.cycles).key("misspecs").u64(h.misspecs);
+        w.close('}');
     }
-    out += "]}";
-    return out;
+    w.close(']').close('}');
+    return w.text();
 }
-
-namespace
-{
-
-/** Parse the `"name":{...}` object of string values at/after @p key
- *  into @p out. */
-void
-parseStringObject(
-    const std::string &line, const char *key,
-    std::vector<std::pair<std::string, std::string>> &out)
-{
-    const std::string marker = std::string("\"") + key + "\":{";
-    size_t at = line.find(marker);
-    if (at == std::string::npos)
-        return;
-    size_t i = at + marker.size();
-    while (i < line.size() && line[i] != '}') {
-        if (line[i] == ',' || line[i] == ' ') {
-            ++i;
-            continue;
-        }
-        if (line[i] != '"')
-            break;
-        size_t name_end = line.find('"', i + 1);
-        if (name_end == std::string::npos)
-            break;
-        std::string name = line.substr(i + 1, name_end - i - 1);
-        size_t colon = line.find(':', name_end);
-        if (colon == std::string::npos)
-            break;
-        size_t open = line.find('"', colon);
-        if (open == std::string::npos)
-            break;
-        std::string value;
-        size_t j = open + 1;
-        for (; j < line.size(); ++j) {
-            char c = line[j];
-            if (c == '\\' && j + 1 < line.size()) {
-                value += line[++j];
-                continue;
-            }
-            if (c == '"')
-                break;
-            value += c;
-        }
-        if (j >= line.size())
-            break; // Torn inside the value.
-        out.emplace_back(std::move(name), std::move(value));
-        i = j + 1;
-    }
-}
-
-/** Iterate the `{...}` chunks of the `"name":[...]` array at/after
- *  @p key, invoking @p fn with each chunk substring. */
-template <typename Fn>
-void
-forEachArrayChunk(const std::string &line, const char *key, Fn fn)
-{
-    const std::string marker = std::string("\"") + key + "\":[";
-    size_t at = line.find(marker);
-    if (at == std::string::npos)
-        return;
-    size_t i = at + marker.size();
-    while (i < line.size()) {
-        size_t open = line.find('{', i);
-        size_t end = line.find(']', i);
-        if (open == std::string::npos ||
-            (end != std::string::npos && end < open))
-            break;
-        size_t close = matchBrace(line, open);
-        if (close == std::string::npos)
-            break;
-        fn(line.substr(open, close - open + 1));
-        i = close + 1;
-    }
-}
-
-} // namespace
 
 std::optional<LedgerRecord>
 parseLedgerLine(const std::string &line)
 {
-    if (line.find_first_not_of(" \t\r\n") == std::string::npos)
+    // A whole record is one balanced object; a torn tail never is,
+    // even when an inner object (env, fields) already closed.
+    if (!json::isWholeObject(line))
         return std::nullopt;
-    auto schema = numberAfter(line, "schema_version");
+    auto schema = json::numberAfter(line, "schema_version");
     if (!schema || static_cast<int>(*schema) < 1 ||
         static_cast<int>(*schema) > kLedgerSchemaVersion)
         return std::nullopt;
-    // A whole record is one line; a torn tail cannot close the final
-    // bracket, so this cheaply rejects partial crash-time writes.
-    if (line.find('}') == std::string::npos)
-        return std::nullopt;
+    auto fields = json::numberMembers(line, "fields");
+    if (!fields)
+        return std::nullopt; // Missing or corrupt: drop the record.
 
+    auto str = [](const std::string &text, const char *key) {
+        return json::stringAfter(text, key).value_or("");
+    };
+    auto u64 = [](const std::string &text, const char *key) {
+        return json::u64After(text, key).value_or(0);
+    };
+    auto id = [&u64](const std::string &text, const char *key) {
+        return static_cast<int>(u64(text, key));
+    };
     LedgerRecord rec;
     rec.schemaVersion = static_cast<int>(*schema);
-    rec.kind = stringAfter(line, "kind").value_or("cell");
-    rec.flavour = stringAfter(line, "flavour").value_or("");
-    rec.bench = stringAfter(line, "bench").value_or("");
-    rec.workload = stringAfter(line, "workload").value_or("");
-    rec.cellKey = stringAfter(line, "cell_key").value_or("");
-    rec.systemKey = stringAfter(line, "system_key").value_or("");
-    rec.artifactKey = stringAfter(line, "artifact_key").value_or("");
-    rec.cacheSource = stringAfter(line, "cache_source").value_or("");
-    rec.engine = stringAfter(line, "engine").value_or("");
-    rec.policy = stringAfter(line, "policy").value_or("");
-    rec.profileSeed = u64After(line, "profile_seed").value_or(0);
-    rec.runSeed = u64After(line, "run_seed").value_or(0);
-    rec.policySeed = u64After(line, "policy_seed").value_or(0);
-    rec.outputChecksum =
-        stringAfter(line, "output_checksum").value_or("");
-
-    parseStringObject(line, "env", rec.env);
-
-    // Flat fields object: same scan as obs/trajectory's series map.
-    size_t at = line.find("\"fields\":{");
-    if (at == std::string::npos)
-        return std::nullopt;
-    size_t i = at + std::strlen("\"fields\":{");
-    while (i < line.size() && line[i] != '}') {
-        size_t open = line.find('"', i);
-        if (open == std::string::npos)
-            break;
-        size_t close = line.find('"', open + 1);
-        if (close == std::string::npos)
-            break;
-        size_t colon = line.find(':', close);
-        if (colon == std::string::npos)
-            break;
-        const char *p = line.c_str() + colon + 1;
-        char *end = nullptr;
-        double v = std::strtod(p, &end);
-        if (end == p)
-            return std::nullopt; // Corrupt value: drop the record.
-        rec.fields.push_back(
-            {line.substr(open + 1, close - open - 1), v});
-        i = static_cast<size_t>(end - line.c_str());
-        while (i < line.size() && (line[i] == ',' || line[i] == ' '))
-            ++i;
-    }
-
-    forEachArrayChunk(line, "regions", [&rec](const std::string &c) {
-        LedgerRegionRow r;
-        r.function = stringAfter(c, "function").value_or("");
-        r.regionId =
-            static_cast<int>(u64After(c, "region").value_or(0));
-        r.srcLine = static_cast<int>(u64After(c, "line").value_or(0));
-        r.entries = u64After(c, "entries").value_or(0);
-        r.misspecs = u64After(c, "misspecs").value_or(0);
-        r.specInsts = u64After(c, "spec_insts").value_or(0);
-        r.handlerInsts = u64After(c, "handler_insts").value_or(0);
-        r.handlerCycles = u64After(c, "handler_cycles").value_or(0);
-        rec.regions.push_back(std::move(r));
-    });
-
-    forEachArrayChunk(line, "heat", [&rec](const std::string &c) {
-        LedgerHeatRow h;
-        h.function = stringAfter(c, "function").value_or("");
-        h.block = stringAfter(c, "block").value_or("");
-        h.regionId =
-            static_cast<int>(u64After(c, "region").value_or(0));
-        h.srcLine = static_cast<int>(u64After(c, "line").value_or(0));
-        h.entries = u64After(c, "entries").value_or(0);
-        h.insts = u64After(c, "insts").value_or(0);
-        h.cycles = u64After(c, "cycles").value_or(0);
-        h.misspecs = u64After(c, "misspecs").value_or(0);
-        rec.heat.push_back(std::move(h));
-    });
-
+    for (const auto &f : kProvenance)
+        rec.*f.member =
+            json::stringAfter(line, f.name).value_or(rec.*f.member);
+    for (const auto &f : kSeeds)
+        rec.*f.member = u64(line, f.name);
+    rec.outputChecksum = str(line, "output_checksum");
+    if (auto env = json::stringMembers(line, "env"))
+        rec.env = std::move(*env);
+    for (auto &[name, value] : *fields)
+        rec.fields.push_back({std::move(name), value});
+    for (const std::string &c : json::arrayObjects(line, "regions"))
+        rec.regions.push_back({.function = str(c, "function"),
+                               .regionId = id(c, "region"),
+                               .srcLine = id(c, "line"),
+                               .entries = u64(c, "entries"),
+                               .misspecs = u64(c, "misspecs"),
+                               .specInsts = u64(c, "spec_insts"),
+                               .handlerInsts = u64(c, "handler_insts"),
+                               .handlerCycles = u64(c, "handler_cycles")});
+    for (const std::string &c : json::arrayObjects(line, "heat"))
+        rec.heat.push_back({.function = str(c, "function"),
+                            .block = str(c, "block"),
+                            .regionId = id(c, "region"),
+                            .srcLine = id(c, "line"),
+                            .entries = u64(c, "entries"),
+                            .insts = u64(c, "insts"),
+                            .cycles = u64(c, "cycles"),
+                            .misspecs = u64(c, "misspecs")});
     return rec;
 }
 

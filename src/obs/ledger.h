@@ -47,8 +47,8 @@
 #include <vector>
 
 #include "energy/model.h"
-#include "uarch/cache.h"
-#include "uarch/counters.h"
+#include "support/fields.h"
+#include "uarch/telemetry.h"
 
 namespace bitspec
 {
@@ -132,13 +132,22 @@ struct LedgerRecord
 
     /** Insert-or-overwrite @p name. */
     void setField(const std::string &name, double value);
+
+    /** setField("<prefix><name>") for every field of @p stats, from
+     *  its field table (support/fields.h). */
+    template <typename T>
+    void
+    setFields(const std::string &prefix, const T &stats)
+    {
+        for (const auto &f : fieldsOf<T>())
+            setField(prefix + f.name,
+                     static_cast<double>(stats.*f.member));
+    }
 };
 
 /** Fill the run-observable telemetry fields (counters.*, cache.*,
  *  dram.*, energy.*, run.*) from one finished run. */
-void fillRunTelemetry(LedgerRecord &rec, const ActivityCounters &c,
-                      const CacheStats &l1i, const CacheStats &l1d,
-                      const CacheStats &l2, const DramStats &dram,
+void fillRunTelemetry(LedgerRecord &rec, const RunTelemetry &hw,
                       const EnergyBreakdown &energy, double total_pj,
                       double epi_pj, double mean_v,
                       uint32_t return_value, uint64_t output_checksum,

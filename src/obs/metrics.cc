@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "obs/json.h"
 #include "support/env.h"
 #include "support/error.h"
 #include "support/log.h"
@@ -34,21 +35,12 @@ keyOf(const std::string &name, const MetricsRegistry::Labels &labels)
     return key;
 }
 
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-}
-
 std::string
 fmtNum(double v)
 {
     char buf[48];
-    // Integral values print without a fraction so counters read
+    // Human-readable on purpose, unlike json::number's exact form:
+    // integral values print without a fraction so counters read
     // naturally in both sinks.
     if (v == static_cast<double>(static_cast<long long>(v)) &&
         std::abs(v) < 1e15) {
@@ -190,42 +182,34 @@ void
 MetricsRegistry::writeJsonLines(std::ostream &os) const
 {
     for (const MetricSample &s : snapshot()) {
-        os << "{\"name\":\"";
-        jsonEscape(os, s.name);
-        os << "\"";
+        json::Writer w;
+        w.open('{').key("name").str(s.name);
         if (!s.labels.empty()) {
-            os << ",\"labels\":{";
-            for (size_t i = 0; i < s.labels.size(); ++i) {
-                if (i)
-                    os << ",";
-                os << "\"";
-                jsonEscape(os, s.labels[i].first);
-                os << "\":\"";
-                jsonEscape(os, s.labels[i].second);
-                os << "\"";
-            }
-            os << "}";
+            w.key("labels").open('{');
+            for (const auto &[name, value] : s.labels)
+                w.key(name).str(value);
+            w.close('}');
         }
+        const Histogram &h = s.histogram;
         switch (s.kind) {
           case MetricSample::Kind::Counter:
-            os << ",\"kind\":\"counter\",\"value\":" << fmtNum(s.value);
+            w.key("kind").str("counter").key("value").raw(fmtNum(s.value));
             break;
           case MetricSample::Kind::Gauge:
-            os << ",\"kind\":\"gauge\",\"value\":" << fmtNum(s.value);
+            w.key("kind").str("gauge").key("value").raw(fmtNum(s.value));
             break;
-          case MetricSample::Kind::Histogram:
-            os << ",\"kind\":\"histogram\",\"count\":"
-               << s.histogram.count()
-               << ",\"sum\":" << fmtNum(s.histogram.sum())
-               << ",\"min\":" << fmtNum(s.histogram.min())
-               << ",\"mean\":" << fmtNum(s.histogram.mean())
-               << ",\"p50\":" << fmtNum(s.histogram.p50())
-               << ",\"p95\":" << fmtNum(s.histogram.p95())
-               << ",\"p99\":" << fmtNum(s.histogram.p99())
-               << ",\"max\":" << fmtNum(s.histogram.max());
+          case MetricSample::Kind::Histogram: {
+            w.key("kind").str("histogram").key("count").u64(h.count());
+            const std::pair<const char *, double> stats[] = {
+                {"sum", h.sum()}, {"min", h.min()}, {"mean", h.mean()},
+                {"p50", h.p50()}, {"p95", h.p95()}, {"p99", h.p99()},
+                {"max", h.max()}};
+            for (const auto &[name, v] : stats)
+                w.key(name).raw(fmtNum(v));
             break;
+          }
         }
-        os << "}\n";
+        os << w.close('}').text() << "\n";
     }
 }
 

@@ -6,9 +6,9 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 
 #include "obs/flightrec.h"
+#include "obs/json.h"
 #include "support/env.h"
 #include "support/log.h"
 
@@ -81,28 +81,6 @@ append(Event e)
     b.events.push_back(std::move(e));
 }
 
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-}
-
 /** Arg values that parse fully as numbers are emitted unquoted so
  *  counter tracks and numeric annotations stay numeric in Perfetto. */
 bool
@@ -115,40 +93,34 @@ looksNumeric(const std::string &s)
     return end && *end == '\0';
 }
 
-void
-writeEvent(std::ostream &os, const Event &e)
+std::string
+eventJson(const Event &e)
 {
-    os << "{\"name\":\"";
-    jsonEscape(os, e.name);
-    os << "\",\"cat\":\"" << (e.cat && *e.cat ? e.cat : "bitspec")
-       << "\",\"ph\":\"" << e.phase << "\",\"pid\":1,\"tid\":" << e.tid;
+    json::Writer w;
+    w.open('{').key("name").str(e.name);
+    w.key("cat").str(e.cat && *e.cat ? e.cat : "bitspec");
+    w.key("ph").str(std::string(1, e.phase)).key("pid").raw("1");
+    w.key("tid").u64(e.tid);
     if (e.phase != 'M') {
         char ts[48];
         std::snprintf(ts, sizeof ts, "%.3f",
                       static_cast<double>(e.tsNs) / 1000.0);
-        os << ",\"ts\":" << ts;
+        w.key("ts").raw(ts);
     }
     if (e.phase == 'i')
-        os << ",\"s\":\"t\"";
+        w.key("s").str("t");
     if (!e.args.empty()) {
-        os << ",\"args\":{";
-        for (size_t i = 0; i < e.args.size(); ++i) {
-            if (i)
-                os << ",";
-            os << "\"";
-            jsonEscape(os, e.args[i].first);
-            os << "\":";
-            if (looksNumeric(e.args[i].second)) {
-                os << e.args[i].second;
-            } else {
-                os << "\"";
-                jsonEscape(os, e.args[i].second);
-                os << "\"";
-            }
+        w.key("args").open('{');
+        for (const auto &[key, value] : e.args) {
+            w.key(key);
+            if (looksNumeric(value))
+                w.raw(value);
+            else
+                w.str(value);
         }
-        os << "}";
+        w.close('}');
     }
-    os << "}";
+    return w.close('}').text();
 }
 
 /** Reads BITSPEC_TRACE once at static-init time: enables tracing,
@@ -252,10 +224,9 @@ instant(std::string name, const char *category,
 void
 counter(std::string name, const char *category, double value)
 {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
+    const std::string buf = json::number(value);
     if (flightrec::active())
-        flightrec::record('C', name.c_str(), category, buf);
+        flightrec::record('C', name.c_str(), category, buf.c_str());
     if (!enabled())
         return;
     Event e;
@@ -335,15 +306,11 @@ reset()
 std::string
 toJson()
 {
-    std::ostringstream os;
-    os << "{\"traceEvents\":[\n";
+    std::string out = "{\"traceEvents\":[\n";
     std::vector<Event> events = snapshot();
-    for (size_t i = 0; i < events.size(); ++i) {
-        writeEvent(os, events[i]);
-        os << (i + 1 < events.size() ? ",\n" : "\n");
-    }
-    os << "],\"displayTimeUnit\":\"ms\"}\n";
-    return os.str();
+    for (size_t i = 0; i < events.size(); ++i)
+        out += eventJson(events[i]) + (i + 1 < events.size() ? ",\n" : "\n");
+    return out + "],\"displayTimeUnit\":\"ms\"}\n";
 }
 
 bool

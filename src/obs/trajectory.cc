@@ -1,82 +1,15 @@
 #include "obs/trajectory.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include "obs/json.h"
 #include "support/str.h"
 
 namespace bitspec
 {
-
-namespace
-{
-
-void
-jsonEscape(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-}
-
-std::string
-fmtNum(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-/** Value of `"key":<number>` at/after @p from; nullopt when absent.
- *  Tolerates whitespace after the colon (google-benchmark style). */
-std::optional<double>
-numberAfter(const std::string &text, const std::string &key,
-            size_t from = 0)
-{
-    size_t at = text.find("\"" + key + "\":", from);
-    if (at == std::string::npos)
-        return std::nullopt;
-    const char *p = text.c_str() + at + key.size() + 3;
-    char *end = nullptr;
-    double v = std::strtod(p, &end);
-    if (end == p)
-        return std::nullopt;
-    return v;
-}
-
-/** Value of `"key":"<string>"` at/after @p from. */
-std::optional<std::string>
-stringAfter(const std::string &text, const std::string &key,
-            size_t from = 0)
-{
-    size_t at = text.find("\"" + key + "\":", from);
-    if (at == std::string::npos)
-        return std::nullopt;
-    size_t open = text.find('"', at + key.size() + 3);
-    if (open == std::string::npos)
-        return std::nullopt;
-    std::string out;
-    for (size_t i = open + 1; i < text.size(); ++i) {
-        char c = text[i];
-        if (c == '\\' && i + 1 < text.size()) {
-            out += text[++i];
-            continue;
-        }
-        if (c == '"')
-            return out;
-        out += c;
-    }
-    return std::nullopt;
-}
-
-} // namespace
 
 std::optional<double>
 TrajectoryRecord::value(const std::string &name) const
@@ -102,74 +35,45 @@ toJsonLine(const TrajectoryRecord &rec)
               [](const TrajectorySeries &a, const TrajectorySeries &b) {
                   return a.name < b.name;
               });
-    std::string out = "{\"schema_version\":" +
-                      std::to_string(rec.schemaVersion) +
-                      ",\"git_sha\":\"";
-    jsonEscape(out, rec.gitSha);
-    out += "\",\"build_type\":\"";
-    jsonEscape(out, rec.buildType);
-    out += "\",\"timestamp\":\"";
-    jsonEscape(out, rec.timestamp);
-    out += "\",\"debug_build\":";
-    out += rec.debugBuild ? "true" : "false";
-    out += ",\"series\":{";
-    for (size_t i = 0; i < sorted.size(); ++i) {
-        if (i)
-            out += ",";
-        out += "\"";
-        jsonEscape(out, sorted[i].name);
-        out += "\":" + fmtNum(sorted[i].value);
-    }
-    out += "}}";
-    return out;
+    json::Writer w;
+    w.open('{').key("schema_version").raw(
+        std::to_string(rec.schemaVersion));
+    w.key("git_sha").str(rec.gitSha).key("build_type").str(rec.buildType);
+    w.key("timestamp").str(rec.timestamp);
+    w.key("debug_build").raw(rec.debugBuild ? "true" : "false");
+    w.key("series").open('{');
+    for (const TrajectorySeries &s : sorted)
+        w.key(s.name).num(s.value);
+    return w.close('}').close('}').text();
 }
 
 std::optional<TrajectoryRecord>
 parseJsonLine(const std::string &line)
 {
-    if (line.find_first_not_of(" \t\r\n") == std::string::npos)
+    // One balanced object per line: a torn tail cut before a later
+    // series must not load as a record with fewer series.
+    if (!json::isWholeObject(line))
         return std::nullopt;
-    auto schema = numberAfter(line, "schema_version");
+    auto schema = json::numberAfter(line, "schema_version");
     if (!schema || static_cast<int>(*schema) < 1 ||
         static_cast<int>(*schema) > kTrajectorySchemaVersion)
         return std::nullopt;
+    auto series = json::numberMembers(line, "series");
+    if (!series)
+        return std::nullopt; // Missing or corrupt: drop the record.
 
     TrajectoryRecord rec;
     rec.schemaVersion = static_cast<int>(*schema);
-    rec.gitSha = stringAfter(line, "git_sha").value_or("unknown");
-    rec.buildType = stringAfter(line, "build_type").value_or("");
-    rec.timestamp = stringAfter(line, "timestamp").value_or("");
+    rec.gitSha = json::stringAfter(line, "git_sha").value_or("unknown");
+    rec.buildType = json::stringAfter(line, "build_type").value_or("");
+    rec.timestamp = json::stringAfter(line, "timestamp").value_or("");
     size_t dbg = line.find("\"debug_build\":");
     rec.debugBuild =
         dbg != std::string::npos &&
         line.compare(dbg + std::strlen("\"debug_build\":"), 4,
                      "true") == 0;
-
-    size_t at = line.find("\"series\":{");
-    if (at == std::string::npos)
-        return std::nullopt;
-    size_t i = at + std::strlen("\"series\":{");
-    while (i < line.size() && line[i] != '}') {
-        size_t open = line.find('"', i);
-        if (open == std::string::npos)
-            break;
-        size_t close = line.find('"', open + 1);
-        if (close == std::string::npos)
-            break;
-        size_t colon = line.find(':', close);
-        if (colon == std::string::npos)
-            break;
-        const char *p = line.c_str() + colon + 1;
-        char *end = nullptr;
-        double v = std::strtod(p, &end);
-        if (end == p)
-            return std::nullopt; // Corrupt value: drop the record.
-        rec.series.push_back(
-            {line.substr(open + 1, close - open - 1), v});
-        i = static_cast<size_t>(end - line.c_str());
-        while (i < line.size() && (line[i] == ',' || line[i] == ' '))
-            ++i;
-    }
+    for (auto &[name, value] : *series)
+        rec.series.push_back({std::move(name), value});
     return rec;
 }
 
@@ -231,7 +135,7 @@ recordFromBenchJson(const std::string &json_text)
             at = json_text.find("\"name\":\"" + bench + "\"");
         if (at == std::string::npos)
             return std::nullopt;
-        return numberAfter(json_text, counter, at);
+        return json::numberAfter(json_text, counter, at);
     };
 
     add("rate.interp_decoded_ir_per_s",
@@ -263,11 +167,11 @@ recordFromBenchJson(const std::string &json_text)
     size_t obs = json_text.find("\"observability\":");
     if (obs != std::string::npos) {
         add("rate.obs_disabled_ir_per_s",
-            numberAfter(json_text, "disabled_rate", obs));
+            json::numberAfter(json_text, "disabled_rate", obs));
         add("rate.obs_prof_off_ir_per_s",
-            numberAfter(json_text, "prof_off_rate", obs));
+            json::numberAfter(json_text, "prof_off_rate", obs));
         auto overhead =
-            numberAfter(json_text, "enabled_overhead_pct", obs);
+            json::numberAfter(json_text, "enabled_overhead_pct", obs);
         if (overhead)
             rec.series.push_back(
                 {"obs.trace_overhead_pct", *overhead});
@@ -279,11 +183,11 @@ recordFromBenchJson(const std::string &json_text)
     size_t art = json_text.find("\"artifact_store\":");
     if (art != std::string::npos) {
         add("time.compile_cold",
-            numberAfter(json_text, "compile_cold_sec", art));
+            json::numberAfter(json_text, "compile_cold_sec", art));
         add("time.compile_warm",
-            numberAfter(json_text, "compile_warm_sec", art));
+            json::numberAfter(json_text, "compile_warm_sec", art));
         add("speedup.artifact_warm_vs_cold",
-            numberAfter(json_text, "speedup_warm_vs_cold", art));
+            json::numberAfter(json_text, "speedup_warm_vs_cold", art));
     }
 
     // experiment_engine grid speedups.
@@ -298,7 +202,7 @@ recordFromBenchJson(const std::string &json_text)
                 break;
             std::string grid = json_text.substr(open, close - open);
             add("speedup." + grid,
-                numberAfter(json_text, "speedup", close));
+                json::numberAfter(json_text, "speedup", close));
             at = close;
         }
     }

@@ -14,6 +14,7 @@
 #define BITSPEC_TRANSFORM_EXPANDER_H_
 
 #include "ir/module.h"
+#include "support/fields.h"
 
 namespace bitspec
 {
@@ -39,6 +40,11 @@ struct ExpandStats
     unsigned inlinedCalls = 0;
     unsigned unrolledLoops = 0;
 };
+
+BITSPEC_FIELD_TABLE(
+    ExpandStats, unsigned,
+    {&ExpandStats::inlinedCalls, "inlined_calls"},
+    {&ExpandStats::unrolledLoops, "unrolled_loops"});
 
 /** Inline + unroll every function of @p m per @p opts. */
 ExpandStats expandModule(Module &m, const ExpanderOptions &opts);

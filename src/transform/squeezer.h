@@ -28,6 +28,7 @@
 
 #include "ir/module.h"
 #include "profile/bitwidth_profile.h"
+#include "support/fields.h"
 
 namespace bitspec
 {
@@ -76,26 +77,29 @@ struct SqueezeStats
     unsigned lintSpecLeaks = 0;
     /** Tainted sinks discharged with known-bits facts (D1/D2). */
     unsigned lintLeaksDischarged = 0;
-
-    SqueezeStats &
-    operator+=(const SqueezeStats &o)
-    {
-        narrowed += o.narrowed;
-        regions += o.regions;
-        specTruncs += o.specTruncs;
-        comparesEliminated += o.comparesEliminated;
-        bitmasksElided += o.bitmasksElided;
-        staticNarrowed += o.staticNarrowed;
-        checksDropped += o.checksDropped;
-        regionsElided += o.regionsElided;
-        lintProvenSafe += o.lintProvenSafe;
-        lintProvenUnsafe += o.lintProvenUnsafe;
-        lintSpeculative += o.lintSpeculative;
-        lintSpecLeaks += o.lintSpecLeaks;
-        lintLeaksDischarged += o.lintLeaksDischarged;
-        return *this;
-    }
 };
+
+BITSPEC_FIELD_TABLE(
+    SqueezeStats, unsigned,
+    {&SqueezeStats::narrowed, "narrowed"},
+    {&SqueezeStats::regions, "regions"},
+    {&SqueezeStats::specTruncs, "spec_truncs"},
+    {&SqueezeStats::comparesEliminated, "compares_eliminated"},
+    {&SqueezeStats::bitmasksElided, "bitmasks_elided"},
+    {&SqueezeStats::staticNarrowed, "static_narrowed"},
+    {&SqueezeStats::checksDropped, "checks_dropped"},
+    {&SqueezeStats::regionsElided, "regions_elided"},
+    {&SqueezeStats::lintProvenSafe, "lint_proven_safe"},
+    {&SqueezeStats::lintProvenUnsafe, "lint_proven_unsafe"},
+    {&SqueezeStats::lintSpeculative, "lint_speculative"},
+    {&SqueezeStats::lintSpecLeaks, "lint_spec_leaks"},
+    {&SqueezeStats::lintLeaksDischarged, "lint_leaks_discharged"});
+
+inline SqueezeStats &
+operator+=(SqueezeStats &a, const SqueezeStats &b)
+{
+    return addFields(a, b);
+}
 
 /** Squeeze one function. The profile must have been gathered on the
  *  same module instance (instruction pointers key the statistics). */

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "support/fields.h"
+
 namespace bitspec
 {
 
@@ -25,6 +27,12 @@ struct CacheStats
     uint64_t misses = 0;
     uint64_t writebacks = 0;
 };
+
+BITSPEC_FIELD_TABLE(
+    CacheStats, uint64_t,
+    {&CacheStats::accesses, "accesses"},
+    {&CacheStats::misses, "misses"},
+    {&CacheStats::writebacks, "writebacks"});
 
 /** One set-associative write-back cache with LRU replacement. */
 class Cache
@@ -100,6 +108,11 @@ struct DramStats
     uint64_t reads = 0;
     uint64_t writes = 0;
 };
+
+BITSPEC_FIELD_TABLE(
+    DramStats, uint64_t,
+    {&DramStats::reads, "reads"},
+    {&DramStats::writes, "writes"});
 
 /** The full hierarchy: L1I + L1D -> unified L2 -> DRAM. */
 class MemoryHierarchy

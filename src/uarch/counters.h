@@ -11,6 +11,8 @@
 
 #include <cstdint>
 
+#include "support/fields.h"
+
 namespace bitspec
 {
 
@@ -50,6 +52,28 @@ struct ActivityCounters
 
     uint64_t outputs = 0;
 };
+
+BITSPEC_FIELD_TABLE(
+    ActivityCounters, uint64_t,
+    {&ActivityCounters::instructions, "instructions"},
+    {&ActivityCounters::cycles, "cycles"},
+    {&ActivityCounters::alu32, "alu32"},
+    {&ActivityCounters::alu8, "alu8"},
+    {&ActivityCounters::mulDiv, "mul_div"},
+    {&ActivityCounters::rfRead32, "rf_read32"},
+    {&ActivityCounters::rfWrite32, "rf_write32"},
+    {&ActivityCounters::rfRead8, "rf_read8"},
+    {&ActivityCounters::rfWrite8, "rf_write8"},
+    {&ActivityCounters::loads, "loads"},
+    {&ActivityCounters::stores, "stores"},
+    {&ActivityCounters::branches, "branches"},
+    {&ActivityCounters::takenBranches, "taken_branches"},
+    {&ActivityCounters::calls, "calls"},
+    {&ActivityCounters::misspeculations, "misspeculations"},
+    {&ActivityCounters::dynSpillLoads, "dyn_spill_loads"},
+    {&ActivityCounters::dynSpillStores, "dyn_spill_stores"},
+    {&ActivityCounters::dynCopies, "dyn_copies"},
+    {&ActivityCounters::outputs, "outputs"});
 
 } // namespace bitspec
 

@@ -64,24 +64,9 @@ void
 addScaledDelta(ActivityCounters &c, const ActivityCounters &d,
                uint64_t n)
 {
-    c.instructions += d.instructions * n;
-    c.alu32 += d.alu32 * n;
-    c.alu8 += d.alu8 * n;
-    c.mulDiv += d.mulDiv * n;
-    c.rfRead32 += d.rfRead32 * n;
-    c.rfWrite32 += d.rfWrite32 * n;
-    c.rfRead8 += d.rfRead8 * n;
-    c.rfWrite8 += d.rfWrite8 * n;
-    c.loads += d.loads * n;
-    c.stores += d.stores * n;
-    c.branches += d.branches * n;
-    c.takenBranches += d.takenBranches * n;
-    c.calls += d.calls * n;
-    c.misspeculations += d.misspeculations * n;
-    c.dynSpillLoads += d.dynSpillLoads * n;
-    c.dynSpillStores += d.dynSpillStores * n;
-    c.dynCopies += d.dynCopies * n;
-    c.outputs += d.outputs * n;
+    for (const auto &f : fieldsOf<ActivityCounters>())
+        if (f.member != &ActivityCounters::cycles)
+            c.*f.member += d.*f.member * n;
 }
 
 inline bool

@@ -60,79 +60,31 @@ runOnce(System &sys, const AttributionMap &amap, const BlockMap &bmap,
 }
 
 void
-expectSameCaches(const CacheStats &a, const CacheStats &b,
-                 const std::string &what)
-{
-    EXPECT_EQ(a.accesses, b.accesses) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.writebacks, b.writebacks) << what;
-}
-
-void
 expectSameRun(const ObservedRun &fresh, const ObservedRun &warm,
               const std::string &what)
 {
     EXPECT_EQ(fresh.r.returnValue, warm.r.returnValue) << what;
     EXPECT_EQ(fresh.r.outputChecksum, warm.r.outputChecksum) << what;
-
-    const ActivityCounters &a = fresh.r.counters;
-    const ActivityCounters &b = warm.r.counters;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.alu32, b.alu32) << what;
-    EXPECT_EQ(a.alu8, b.alu8) << what;
-    EXPECT_EQ(a.mulDiv, b.mulDiv) << what;
-    EXPECT_EQ(a.rfRead32, b.rfRead32) << what;
-    EXPECT_EQ(a.rfWrite32, b.rfWrite32) << what;
-    EXPECT_EQ(a.rfRead8, b.rfRead8) << what;
-    EXPECT_EQ(a.rfWrite8, b.rfWrite8) << what;
-    EXPECT_EQ(a.loads, b.loads) << what;
-    EXPECT_EQ(a.stores, b.stores) << what;
-    EXPECT_EQ(a.branches, b.branches) << what;
-    EXPECT_EQ(a.takenBranches, b.takenBranches) << what;
-    EXPECT_EQ(a.calls, b.calls) << what;
-    EXPECT_EQ(a.misspeculations, b.misspeculations) << what;
-    EXPECT_EQ(a.dynSpillLoads, b.dynSpillLoads) << what;
-    EXPECT_EQ(a.dynSpillStores, b.dynSpillStores) << what;
-    EXPECT_EQ(a.dynCopies, b.dynCopies) << what;
-    EXPECT_EQ(a.outputs, b.outputs) << what;
-
-    expectSameCaches(fresh.r.l1i, warm.r.l1i, what + "/l1i");
-    expectSameCaches(fresh.r.l1d, warm.r.l1d, what + "/l1d");
-    expectSameCaches(fresh.r.l2, warm.r.l2, what + "/l2");
-    EXPECT_EQ(fresh.r.dram.reads, warm.r.dram.reads) << what;
-    EXPECT_EQ(fresh.r.dram.writes, warm.r.dram.writes) << what;
+    EXPECT_EQ(firstTelemetryDiff(fresh.r.telemetry(), warm.r.telemetry()),
+              "")
+        << what;
 
     EXPECT_EQ(fresh.r.totalEnergy, warm.r.totalEnergy) << what;
     EXPECT_EQ(fresh.r.epi, warm.r.epi) << what;
     EXPECT_EQ(fresh.r.meanVoltage, warm.r.meanVoltage) << what;
 
     // Compile-time stats republished per run.
-    EXPECT_EQ(fresh.r.squeezeStats.narrowed,
-              warm.r.squeezeStats.narrowed)
+    EXPECT_EQ(firstFieldDiff(fresh.r.squeezeStats, warm.r.squeezeStats,
+                             "squeeze."),
+              "")
         << what;
-    EXPECT_EQ(fresh.r.squeezeStats.regions, warm.r.squeezeStats.regions)
+    EXPECT_EQ(firstFieldDiff(fresh.r.expandStats, warm.r.expandStats,
+                             "expand."),
+              "")
         << what;
-    EXPECT_EQ(fresh.r.squeezeStats.checksDropped,
-              warm.r.squeezeStats.checksDropped)
-        << what;
-    EXPECT_EQ(fresh.r.squeezeStats.lintProvenSafe,
-              warm.r.squeezeStats.lintProvenSafe)
-        << what;
-    EXPECT_EQ(fresh.r.expandStats.inlinedCalls,
-              warm.r.expandStats.inlinedCalls)
-        << what;
-    EXPECT_EQ(fresh.r.expandStats.unrolledLoops,
-              warm.r.expandStats.unrolledLoops)
-        << what;
-    EXPECT_EQ(fresh.r.backendStats.staticInsts,
-              warm.r.backendStats.staticInsts)
-        << what;
-    EXPECT_EQ(fresh.r.backendStats.skeletonInsts,
-              warm.r.backendStats.skeletonInsts)
-        << what;
-    EXPECT_EQ(fresh.r.backendStats.staticSpillLoads,
-              warm.r.backendStats.staticSpillLoads)
+    EXPECT_EQ(firstFieldDiff(fresh.r.backendStats, warm.r.backendStats,
+                             "backend."),
+              "")
         << what;
 
     ASSERT_EQ(fresh.attr.size(), warm.attr.size()) << what;

@@ -114,6 +114,69 @@ TEST(Snapshot, RoundTripsCompiledSystem)
     EXPECT_EQ(bytes, artifact::encodeSnapshot(back));
 }
 
+/** Lower-case hex of @p n bytes at @p p. */
+std::string
+hexBytes(const uint8_t *p, size_t n)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (size_t i = 0; i < n; ++i) {
+        out += kDigits[p[i] >> 4];
+        out += kDigits[p[i] & 0xf];
+    }
+    return out;
+}
+
+TEST(Snapshot, StatsSectionBytesArePinned)
+{
+    // Every compile-stats field gets a distinct value, set by name
+    // rather than through the field tables, so a reordered or
+    // shortened table changes the bytes below.
+    artifact::SystemSnapshot snap;
+    snap.key = "k";
+    BackendStats &be = snap.backendStats;
+    be.staticSpillLoads = 0x11;
+    be.staticSpillStores = 0x12;
+    be.staticCopies = 0x13;
+    be.spilledVRegs = 0x14;
+    be.staticInsts = 0x15;
+    be.skeletonInsts = 0x16;
+    SqueezeStats &sq = snap.squeezeStats;
+    sq.narrowed = 0x21;
+    sq.regions = 0x22;
+    sq.specTruncs = 0x23;
+    sq.comparesEliminated = 0x24;
+    sq.bitmasksElided = 0x25;
+    sq.staticNarrowed = 0x26;
+    sq.checksDropped = 0x27;
+    sq.regionsElided = 0x28;
+    sq.lintProvenSafe = 0x29;
+    sq.lintProvenUnsafe = 0x2a;
+    sq.lintSpeculative = 0x2b;
+    sq.lintSpecLeaks = 0x2c;
+    sq.lintLeaksDischarged = 0x2d;
+    snap.expandStats.inlinedCalls = 0x31;
+    snap.expandStats.unrolledLoops = 0x32;
+    snap.profiledIrSteps = 0x0102030405060708ull;
+
+    std::vector<uint8_t> bytes = artifact::encodeSnapshot(snap);
+    // Tail of an encoding with no globals: 21 u32 stats (backend,
+    // squeeze, expand, each in declaration order), the u64 profiled
+    // step count and the u32 global count.
+    constexpr size_t kTail = 21 * 4 + 8 + 4;
+    ASSERT_GE(bytes.size(), kTail);
+    EXPECT_EQ(hexBytes(bytes.data() + bytes.size() - kTail, kTail),
+              "11000000120000001300000014000000150000001600000"
+              "02100000022000000230000002400000025000000260000"
+              "002700000028000000290000002a0000002b0000002c000"
+              "0002d00000031000000320000000807060504030201"
+              "00000000");
+
+    artifact::SystemSnapshot back =
+        artifact::decodeSnapshot(bytes.data(), bytes.size());
+    EXPECT_EQ(bytes, artifact::encodeSnapshot(back));
+}
+
 TEST(Snapshot, SchemaHashIsStableWithinBuild)
 {
     const uint64_t h = artifact::snapshotSchemaHash();

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -77,7 +78,9 @@ makeValidCell()
     return rec;
 }
 
-TEST(Ledger, GoldenSerialization)
+/** The record whose serialization GoldenSerialization pins. */
+LedgerRecord
+makeGoldenRecord()
 {
     LedgerRecord rec;
     rec.kind = "cell";
@@ -117,6 +120,12 @@ TEST(Ledger, GoldenSerialization)
     heat.cycles = 7;
     heat.misspecs = 1;
     rec.heat.push_back(heat);
+    return rec;
+}
+
+TEST(Ledger, GoldenSerialization)
+{
+    LedgerRecord rec = makeGoldenRecord();
 
     // Pinned schema: any change here is a schema change and must bump
     // kLedgerSchemaVersion. Fields and env serialize sorted by name.
@@ -282,6 +291,42 @@ TEST(Ledger, LoaderSkipsTornFinalLine)
     ASSERT_EQ(recs.size(), 2u);
     EXPECT_EQ(validateLedgerRecord(recs[0]), "");
     EXPECT_EQ(validateLedgerRecord(recs[1]), "");
+}
+
+TEST(Ledger, EveryProperPrefixOfAGoldenLineIsRejected)
+{
+    // A crash can cut the final line anywhere, including inside the
+    // env or fields objects, whose own closing braces come early.
+    const std::string line = toJsonLine(makeGoldenRecord());
+    ASSERT_TRUE(parseLedgerLine(line).has_value());
+    for (size_t n = 0; n < line.size(); ++n)
+        EXPECT_FALSE(parseLedgerLine(line.substr(0, n)).has_value())
+            << "prefix of " << n << " bytes: " << line.substr(0, n);
+}
+
+TEST(Ledger, ControlCharactersRoundTripThroughAFile)
+{
+    // An env value or workload name holding a newline must not split
+    // the JSONL record.
+    const std::string nasty = "a\nb\tc\x01" "d";
+    LedgerRecord rec = makeValidCell();
+    rec.workload = "w\n\t\x01x";
+    rec.env.push_back({"BITSPEC_NASTY", nasty});
+    const std::string line = toJsonLine(rec);
+    EXPECT_EQ(line.find('\n'), std::string::npos);
+
+    TempLedger tmp;
+    {
+        LedgerWriter writer(tmp.path);
+        ASSERT_TRUE(writer.append(rec));
+    }
+    std::vector<LedgerRecord> recs = loadLedger(tmp.path);
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].workload, rec.workload);
+    std::vector<std::pair<std::string, std::string>> want = rec.env;
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(recs[0].env, want);
+    EXPECT_EQ(validateLedgerRecord(recs[0]), "");
 }
 
 TEST(Ledger, WriterAppendsAndReloads)

@@ -100,6 +100,31 @@ TEST(Trajectory, CorruptAndNewerSchemaLinesAreSkipped)
         history[1].value("rate.interp_decoded_ir_per_s").value(), 2e8);
 }
 
+TEST(Trajectory, EveryProperPrefixOfALineIsRejected)
+{
+    // A torn line cut before a later series would otherwise load as a
+    // record with fewer series and feed the gate baseline.
+    const std::string line = toJsonLine(makeRecord(1.5e8));
+    ASSERT_TRUE(parseJsonLine(line).has_value());
+    for (size_t n = 0; n < line.size(); ++n)
+        EXPECT_FALSE(parseJsonLine(line.substr(0, n)).has_value())
+            << "prefix of " << n << " bytes: " << line.substr(0, n);
+}
+
+TEST(Trajectory, ControlCharactersRoundTripThroughAFile)
+{
+    TrajectoryRecord rec = makeRecord(1e8);
+    rec.gitSha = "abc\n\t\x01" "def";
+    EXPECT_EQ(toJsonLine(rec).find('\n'), std::string::npos);
+
+    TempHistory h;
+    ASSERT_TRUE(appendHistory(h.path, rec));
+    auto history = loadHistory(h.path);
+    ASSERT_EQ(history.size(), 1u);
+    EXPECT_EQ(history[0].gitSha, rec.gitSha);
+    EXPECT_EQ(history[0].series.size(), rec.series.size());
+}
+
 TEST(Trajectory, AppendCreatesFileAndParentDirs)
 {
     TempHistory h;

@@ -30,11 +30,7 @@ namespace
 
 struct CoreRun
 {
-    uint32_t ret = 0;
-    uint64_t checksum = 0;
-    ActivityCounters c;
-    CacheStats l1i, l1d, l2;
-    DramStats dram;
+    RunResult r;
     std::vector<RegionActivity> attr;
     uint64_t unattributedMisspecs = 0;
     std::vector<BlockActivity> blocks;
@@ -49,16 +45,8 @@ runOnce(System &sys, const AttributionMap &amap, const BlockMap &bmap)
     RunObservers obs;
     obs.attribution = &attr;
     obs.blocks = &blocks;
-    RunResult r = sys.run({}, {}, obs);
-
     CoreRun out;
-    out.ret = r.returnValue;
-    out.checksum = r.outputChecksum;
-    out.c = r.counters;
-    out.l1i = r.l1i;
-    out.l1d = r.l1d;
-    out.l2 = r.l2;
-    out.dram = r.dram;
+    out.r = sys.run({}, {}, obs);
     out.attr = attr.activity();
     out.unattributedMisspecs = attr.unattributedMisspecs();
     out.blocks = blocks.activity();
@@ -67,48 +55,15 @@ runOnce(System &sys, const AttributionMap &amap, const BlockMap &bmap)
 }
 
 void
-expectSameCaches(const CacheStats &a, const CacheStats &b,
-                 const std::string &what)
-{
-    EXPECT_EQ(a.accesses, b.accesses) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.writebacks, b.writebacks) << what;
-}
-
-void
 expectSameRun(const CoreRun &legacy, const CoreRun &fast,
               const std::string &what)
 {
-    EXPECT_EQ(legacy.ret, fast.ret) << what;
-    EXPECT_EQ(legacy.checksum, fast.checksum) << what;
-
-    const ActivityCounters &a = legacy.c;
-    const ActivityCounters &b = fast.c;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.alu32, b.alu32) << what;
-    EXPECT_EQ(a.alu8, b.alu8) << what;
-    EXPECT_EQ(a.mulDiv, b.mulDiv) << what;
-    EXPECT_EQ(a.rfRead32, b.rfRead32) << what;
-    EXPECT_EQ(a.rfWrite32, b.rfWrite32) << what;
-    EXPECT_EQ(a.rfRead8, b.rfRead8) << what;
-    EXPECT_EQ(a.rfWrite8, b.rfWrite8) << what;
-    EXPECT_EQ(a.loads, b.loads) << what;
-    EXPECT_EQ(a.stores, b.stores) << what;
-    EXPECT_EQ(a.branches, b.branches) << what;
-    EXPECT_EQ(a.takenBranches, b.takenBranches) << what;
-    EXPECT_EQ(a.calls, b.calls) << what;
-    EXPECT_EQ(a.misspeculations, b.misspeculations) << what;
-    EXPECT_EQ(a.dynSpillLoads, b.dynSpillLoads) << what;
-    EXPECT_EQ(a.dynSpillStores, b.dynSpillStores) << what;
-    EXPECT_EQ(a.dynCopies, b.dynCopies) << what;
-    EXPECT_EQ(a.outputs, b.outputs) << what;
-
-    expectSameCaches(legacy.l1i, fast.l1i, what + "/l1i");
-    expectSameCaches(legacy.l1d, fast.l1d, what + "/l1d");
-    expectSameCaches(legacy.l2, fast.l2, what + "/l2");
-    EXPECT_EQ(legacy.dram.reads, fast.dram.reads) << what;
-    EXPECT_EQ(legacy.dram.writes, fast.dram.writes) << what;
+    EXPECT_EQ(legacy.r.returnValue, fast.r.returnValue) << what;
+    EXPECT_EQ(legacy.r.outputChecksum, fast.r.outputChecksum) << what;
+    EXPECT_EQ(firstTelemetryDiff(legacy.r.telemetry(),
+                                 fast.r.telemetry()),
+              "")
+        << what;
 
     ASSERT_EQ(legacy.attr.size(), fast.attr.size()) << what;
     for (size_t i = 0; i < legacy.attr.size(); ++i) {
@@ -230,11 +185,12 @@ TEST_P(CorePolicyDiff, PoliciesMatchAcrossEngines)
 
         // Semantics preservation: committed outputs are
         // policy-independent even though the paths differ.
-        EXPECT_EQ(legacy.ret, hw.ret) << what;
-        EXPECT_EQ(legacy.checksum, hw.checksum) << what;
+        EXPECT_EQ(legacy.r.returnValue, hw.r.returnValue) << what;
+        EXPECT_EQ(legacy.r.outputChecksum, hw.r.outputChecksum)
+            << what;
         if (p == MisspecPolicy::ForceFirst) {
-            EXPECT_GE(legacy.c.misspeculations,
-                      hw.c.misspeculations)
+            EXPECT_GE(legacy.r.counters.misspeculations,
+                      hw.r.counters.misspeculations)
                 << what;
         }
         sys.setMisspecPolicy(MisspecPolicy::Hardware);

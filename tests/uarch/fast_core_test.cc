@@ -23,50 +23,27 @@
 #include "uarch/core.h"
 #include "uarch/fast_core.h"
 #include "uarch/predecode.h"
+#include "uarch/telemetry.h"
 
 namespace bitspec
 {
 namespace
 {
 
+template <typename Engine>
+RunTelemetry
+telemetryOf(const Engine &core)
+{
+    const MemoryHierarchy &m = core.memory();
+    return {core.counters(), m.l1i(), m.l1d(), m.l2(), m.dram()};
+}
+
 void
 expectSameObservables(const Core &legacy, const FastCore &fast)
 {
-    const ActivityCounters &a = legacy.counters();
-    const ActivityCounters &b = fast.counters();
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.alu32, b.alu32);
-    EXPECT_EQ(a.alu8, b.alu8);
-    EXPECT_EQ(a.mulDiv, b.mulDiv);
-    EXPECT_EQ(a.rfRead32, b.rfRead32);
-    EXPECT_EQ(a.rfWrite32, b.rfWrite32);
-    EXPECT_EQ(a.rfRead8, b.rfRead8);
-    EXPECT_EQ(a.rfWrite8, b.rfWrite8);
-    EXPECT_EQ(a.loads, b.loads);
-    EXPECT_EQ(a.stores, b.stores);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.takenBranches, b.takenBranches);
-    EXPECT_EQ(a.calls, b.calls);
-    EXPECT_EQ(a.misspeculations, b.misspeculations);
-    EXPECT_EQ(a.dynSpillLoads, b.dynSpillLoads);
-    EXPECT_EQ(a.dynSpillStores, b.dynSpillStores);
-    EXPECT_EQ(a.dynCopies, b.dynCopies);
-    EXPECT_EQ(a.outputs, b.outputs);
+    EXPECT_EQ(firstTelemetryDiff(telemetryOf(legacy), telemetryOf(fast)),
+              "");
     EXPECT_EQ(legacy.outputChecksum(), fast.outputChecksum());
-
-    const MemoryHierarchy &ma = legacy.memory();
-    const MemoryHierarchy &mb = fast.memory();
-    EXPECT_EQ(ma.l1i().accesses, mb.l1i().accesses);
-    EXPECT_EQ(ma.l1i().misses, mb.l1i().misses);
-    EXPECT_EQ(ma.l1d().accesses, mb.l1d().accesses);
-    EXPECT_EQ(ma.l1d().misses, mb.l1d().misses);
-    EXPECT_EQ(ma.l1d().writebacks, mb.l1d().writebacks);
-    EXPECT_EQ(ma.l2().accesses, mb.l2().accesses);
-    EXPECT_EQ(ma.l2().misses, mb.l2().misses);
-    EXPECT_EQ(ma.l2().writebacks, mb.l2().writebacks);
-    EXPECT_EQ(ma.dram().reads, mb.dram().reads);
-    EXPECT_EQ(ma.dram().writes, mb.dram().writes);
 }
 
 TEST(FastCore, HotMissHotStreamingLoadsStayExact)
