@@ -5,8 +5,11 @@
 #include "interp/interpreter.h"
 #include "profile/bitwidth_profile.h"
 #include "support/error.h"
+#include "support/str.h"
 #include "transform/squeezer.h"
 #include "uarch/core.h"
+#include "uarch/fast_core.h"
+#include "uarch/predecode.h"
 
 namespace bitspec
 {
@@ -183,6 +186,86 @@ memProbeProgram(MOp op, uint32_t addr)
     return prog;
 }
 
+/** Hand-build a loop running one memory op per pass at r0, stepping
+ *  r0 by r1 and counting r2 passes down, then HALT. Run with
+ *  {0, addr, 2}: the first pass touches address 0 and warms the
+ *  loop's I-line, so FastCore under the Hardware policy replays the
+ *  second pass, which touches @c addr. */
+MachProgram
+memLoopProgram(MOp op)
+{
+    auto inst = [](MOp o, MOpnd dst, MOpnd a, MOpnd b) {
+        MachInst m;
+        m.op = o;
+        m.dst = dst;
+        m.a = a;
+        m.b = b;
+        return m;
+    };
+    const MOpnd r0 = MOpnd::makeReg(0), r1 = MOpnd::makeReg(1),
+                r2 = MOpnd::makeReg(2), r3 = MOpnd::makeReg(3);
+    MachProgram prog;
+    prog.flat.push_back(inst(op, r3, r0, MOpnd::makeImm(0)));
+    prog.flat.push_back(inst(MOp::ADD, r0, r0, r1));
+    prog.flat.push_back(inst(MOp::SUB, r2, r2, MOpnd::makeImm(1)));
+    prog.flat.push_back(inst(MOp::CMP, MOpnd{}, r2, MOpnd::makeImm(0)));
+    MachInst back;
+    back.op = MOp::B;
+    back.cond = Cond::NE;
+    back.target = 0;
+    prog.flat.push_back(back);
+    MachInst halt;
+    halt.op = MOp::HALT;
+    prog.flat.push_back(halt);
+    return prog;
+}
+
+/** what() of the FatalError @p run throws; "" when it returns. */
+template <typename Run>
+std::string
+fatalWhat(Run &&run)
+{
+    try {
+        run();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** Run @p prog with @p args on the legacy Core and on FastCore under
+ *  Hardware (memo replay once the code is resident) and ForceFirst
+ *  (slow path only). Every engine must raise the same fatal, or all
+ *  must return the same r0. Returns the legacy fatal message. */
+std::string
+expectSameFatal(const MachProgram &prog, const Module &mod,
+                const std::vector<uint32_t> &args)
+{
+    Core legacy(prog, mod);
+    uint32_t want_ret = 0;
+    const std::string want =
+        fatalWhat([&] { want_ret = legacy.run(args); });
+    PredecodedProgram pre(prog);
+    for (MisspecPolicy policy :
+         {MisspecPolicy::Hardware, MisspecPolicy::ForceFirst}) {
+        SCOPED_TRACE(policy == MisspecPolicy::Hardware ? "Hardware"
+                                                        : "ForceFirst");
+        FastCore fast(pre, mod);
+        fast.setMisspecPolicy(policy);
+        uint32_t ret = 0;
+        EXPECT_EQ(fatalWhat([&] { ret = fast.run(args); }), want);
+        if (want.empty()) {
+            EXPECT_EQ(ret, want_ret);
+        }
+        if (policy == MisspecPolicy::Hardware) {
+            EXPECT_GT(fast.replayedRuns(), 0u);
+        } else {
+            EXPECT_EQ(fast.replayedRuns(), 0u);
+        }
+    }
+    return want;
+}
+
 TEST(Core, LoadBoundsCheckDoesNotWrapNearAddressMax)
 {
     // addr + bytes overflows uint32_t (0xFFFFFFFD + 4 == 1), so a
@@ -192,6 +275,11 @@ TEST(Core, LoadBoundsCheckDoesNotWrapNearAddressMax)
     MachProgram prog = memProbeProgram(MOp::LDR, 0xFFFFFFFDu);
     Core core(prog, *mod);
     EXPECT_THROW(core.run(), FatalError);
+
+    // FastCore raises the same fatal on its slow and replay paths.
+    EXPECT_EQ(expectSameFatal(memLoopProgram(MOp::LDR), *mod,
+                              {0, 0xFFFFFFFDu, 2}),
+              "fatal: machine load out of bounds at 0xfffffffd");
 }
 
 TEST(Core, StoreBoundsCheckDoesNotWrapNearAddressMax)
@@ -200,6 +288,10 @@ TEST(Core, StoreBoundsCheckDoesNotWrapNearAddressMax)
     MachProgram prog = memProbeProgram(MOp::STR, 0xFFFFFFFEu);
     Core core(prog, *mod);
     EXPECT_THROW(core.run(), FatalError);
+
+    EXPECT_EQ(expectSameFatal(memLoopProgram(MOp::STR), *mod,
+                              {0, 0xFFFFFFFEu, 2}),
+              "fatal: machine store out of bounds at 0xfffffffe");
 }
 
 TEST(Core, StraddlingAccessAtMemoryEndIsRejected)
@@ -216,6 +308,31 @@ TEST(Core, StraddlingAccessAtMemoryEndIsRejected)
     MachProgram ok = memProbeProgram(MOp::LDR, end - 4);
     Core core2(ok, *mod);
     EXPECT_EQ(core2.run(), 0u);
+
+    MachProgram loop = memLoopProgram(MOp::LDR);
+    EXPECT_EQ(expectSameFatal(loop, *mod, {0, end - 3, 2}),
+              strFormat("fatal: machine load out of bounds at 0x%x",
+                        end - 3));
+    EXPECT_EQ(expectSameFatal(loop, *mod, {0, end - 4, 2}), "");
+}
+
+TEST(Core, DivisionByZeroFatalMatchesOnEveryEngine)
+{
+    // The divisor reaches zero only after the loop block has gone hot,
+    // so FastCore under Hardware traps inside a replayed run.
+    auto mod = compileSource(R"(
+        u32 main(u32 n) {
+            u32 h = 0;
+            for (u32 i = 0; i < 300; i++)
+                h = h + 1000 / (n - i);
+            return h;
+        }
+    )");
+    CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
+    EXPECT_EQ(expectSameFatal(cp.program, *mod, {100}),
+              "fatal: machine division by zero");
+    // Control: a divisor that never reaches zero runs to completion.
+    EXPECT_EQ(expectSameFatal(cp.program, *mod, {1000}), "");
 }
 
 } // namespace
