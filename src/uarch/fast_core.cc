@@ -292,14 +292,9 @@ FastCore::buildMemo(uint32_t start) const
     // The terminator always retires after a clean body replay, so its
     // static contribution (branches/calls/instruction) rides in the
     // deferred delta too; only a conditional branch's takenBranches is
-    // dynamic and counted live in execTerminator.
+    // dynamic and counted live in terminate().
     addContrib(m.delta, insts[i].contrib);
     ++m.delta.instructions;
-
-    m.termIsBranch = insts[i].kind == PKind::Branch;
-    m.selfBackedge = m.termIsBranch && insts[i].target == start;
-    m.backCond = insts[i].cond;
-    m.termTarget = insts[i].target;
 
     m.len = i - start;
     m.bodyCycles = rel;
@@ -479,6 +474,8 @@ FastCore::translateOp(const PInst &p, const RunMemo::PerInst &pi)
       default: // Memory, 8-bit slice, conditional, rare: Generic.
         break;
     }
+    if (r.op == ROp::kGeneric)
+        r.imm = pi.issueOff;
     return r;
 }
 
@@ -505,34 +502,6 @@ FastCore::entryReady(const RunMemo &m) const
     return true;
 }
 
-void
-FastCore::commitPrefix(const RunMemo &m, uint32_t k)
-{
-    // The k body instructions retired plus the diverging one were all
-    // fetched; their lines are resident (entry guard), so the fetch
-    // sequence commits in bulk. L1I traffic never reaches L2 here, so
-    // committing after the already-performed D-accesses preserves the
-    // legacy hierarchy state exactly.
-    mem_.fetchRangeCommit(m.fetchFirst, prog_.addrOf(m.start + k));
-    const PInst *insts = pre_.insts().data() + m.start;
-    for (uint32_t j = 0; j < k; ++j) {
-        applyContrib(insts[j].contrib);
-        if (insts[j].kind != PKind::MovCond)
-            applyDstWrite(insts[j].dstWrite);
-    }
-    counters_.instructions += k;
-    executed_ += k;
-    if (attr_)
-        for (uint32_t j = 0; j < k; ++j)
-            attr_->onInst(m.start + j, m.per[j].cost);
-    if (prof_)
-        for (uint32_t j = 0; j < k; ++j)
-            prof_->onInst(m.start + j, m.per[j].cost);
-    // Upper bound over the prefix's scoreboard writes (readyAt_ is
-    // exact — the replay loop updated it per write).
-    maxReady_ = std::max(maxReady_, cycle_ + m.maxReadyOff);
-}
-
 bool
 FastCore::fetchGuard(RunMemo &m)
 {
@@ -545,602 +514,263 @@ FastCore::fetchGuard(RunMemo &m)
 }
 
 void
-FastCore::commitFetches(RunMemo &m, uint64_t repeat)
+FastCore::commitFetches(RunMemo &m)
 {
     // No I-fill can intervene between the guard and this commit (the
     // body performs only D-side accesses), but re-checking is one
     // compare and keeps the pin self-validating.
     if (m.pin.cnt && m.pin.gen == mem_.l1iFillGen())
-        mem_.fetchCommitPinned(m.pin, repeat);
+        mem_.fetchCommitPinned(m.pin, 1);
     else
-        mem_.fetchRangeCommit(m.fetchFirst, m.fetchLast, repeat);
+        mem_.fetchRangeCommit(m.fetchFirst, m.fetchLast);
 }
 
-void
-FastCore::flushIters(RunMemo &m, uint64_t iters)
+[[gnu::always_inline]] inline FastCore::Outcome
+FastCore::execute(const PInst &p, uint64_t issue, MisspecPolicy policy)
 {
-    if (!iters)
-        return;
-    // The iterated loop touched no other I-line in between, so one
-    // scaled bulk fetch commit is exact; counter deltas defer with
-    // the usual pendingReplays multiplier (takenBranches, executed_
-    // and the scoreboard were kept live per iteration).
-    m.pendingReplays += iters;
-    commitFetches(m, iters);
-    replayedRuns_ += iters;
-}
-
-uint32_t
-FastCore::replay(RunMemo &m0)
-{
-    RunMemo *mp = &m0; // Re-pointed when block chaining continues.
-    uint64_t entry = cycle_;
-    const PInst *insts = pre_.insts().data() + mp->start;
     uint32_t *regs = regs_;
-    // Completed in-replay iterations of a self-backedge loop, bulk
-    // committed by flushIters on every exit path.
-    uint64_t iters = 0;
-    uint32_t next = 0; // Successor index for the chaining exit.
-
-  iterate:
-    for (uint32_t i = 0; i < mp->len; ++i) {
-        const RunMemo::ROp &r = mp->ops[i];
-        switch (r.op) {
-          case RunMemo::ROp::kAddRR:
-            regs[r.dst] = regs[r.a] + regs[r.b];
-            break;
-          case RunMemo::ROp::kAddRI:
-            regs[r.dst] = regs[r.a] + r.imm;
-            break;
-          case RunMemo::ROp::kSubRR:
-            regs[r.dst] = regs[r.a] - regs[r.b];
-            break;
-          case RunMemo::ROp::kSubRI:
-            regs[r.dst] = regs[r.a] - r.imm;
-            break;
-          case RunMemo::ROp::kSubIR:
-            regs[r.dst] = r.imm - regs[r.a];
-            break;
-          case RunMemo::ROp::kAndRR:
-            regs[r.dst] = regs[r.a] & regs[r.b];
-            break;
-          case RunMemo::ROp::kAndRI:
-            regs[r.dst] = regs[r.a] & r.imm;
-            break;
-          case RunMemo::ROp::kOrrRR:
-            regs[r.dst] = regs[r.a] | regs[r.b];
-            break;
-          case RunMemo::ROp::kOrrRI:
-            regs[r.dst] = regs[r.a] | r.imm;
-            break;
-          case RunMemo::ROp::kEorRR:
-            regs[r.dst] = regs[r.a] ^ regs[r.b];
-            break;
-          case RunMemo::ROp::kEorRI:
-            regs[r.dst] = regs[r.a] ^ r.imm;
-            break;
-          case RunMemo::ROp::kLslRR: {
-            uint32_t s = regs[r.b];
-            regs[r.dst] = s >= 32 ? 0 : regs[r.a] << s;
-            break;
-          }
-          case RunMemo::ROp::kLslRI:
-            regs[r.dst] = r.imm >= 32 ? 0 : regs[r.a] << r.imm;
-            break;
-          case RunMemo::ROp::kLsrRR: {
-            uint32_t s = regs[r.b];
-            regs[r.dst] = s >= 32 ? 0 : regs[r.a] >> s;
-            break;
-          }
-          case RunMemo::ROp::kLsrRI:
-            regs[r.dst] = r.imm >= 32 ? 0 : regs[r.a] >> r.imm;
-            break;
-          case RunMemo::ROp::kAsrRR: {
-            uint32_t s = regs[r.b];
-            int32_t a = static_cast<int32_t>(regs[r.a]);
-            regs[r.dst] = s >= 32
-                              ? (a < 0 ? ~0u : 0)
-                              : static_cast<uint32_t>(a >> s);
-            break;
-          }
-          case RunMemo::ROp::kAsrRI: {
-            int32_t a = static_cast<int32_t>(regs[r.a]);
-            regs[r.dst] = r.imm >= 32
-                              ? (a < 0 ? ~0u : 0)
-                              : static_cast<uint32_t>(a >> r.imm);
-            break;
-          }
-          case RunMemo::ROp::kMulRR:
-            regs[r.dst] = regs[r.a] * regs[r.b];
-            break;
-          case RunMemo::ROp::kMulRI:
-            regs[r.dst] = regs[r.a] * r.imm;
-            break;
-          case RunMemo::ROp::kMovR:
-            regs[r.dst] = regs[r.a];
-            break;
-          case RunMemo::ROp::kMovI:
-            regs[r.dst] = r.imm;
-            break;
-          case RunMemo::ROp::kMvnR:
-            regs[r.dst] = ~regs[r.a];
-            break;
-          case RunMemo::ROp::kMovtI:
-            regs[r.dst] = (r.imm << 16) | (regs[r.dst] & 0xffff);
-            break;
-          case RunMemo::ROp::kCmpRR:
-            setFlagsSub(regs[r.a], regs[r.b], 32);
-            break;
-          case RunMemo::ROp::kCmpRI:
-            setFlagsSub(regs[r.a], r.imm, 32);
-            break;
-          case RunMemo::ROp::kCmpIR:
-            setFlagsSub(r.imm, regs[r.b], 32);
-            break;
-          case RunMemo::ROp::kSetcc:
-            regs[r.dst] =
-                condHolds(static_cast<Cond>(r.imm)) ? 1 : 0;
-            break;
-          case RunMemo::ROp::kSxth:
-            regs[r.dst] = static_cast<uint32_t>(
-                sextFrom(regs[r.a], 16));
-            break;
-          case RunMemo::ROp::kUxth:
-            regs[r.dst] = regs[r.a] & 0xffff;
-            break;
-          case RunMemo::ROp::kUxt8:
-            regs[r.dst] = regs[r.a] & 0xff;
-            break;
-          case RunMemo::ROp::kSxt8:
-            regs[r.dst] = static_cast<uint32_t>(
-                sextFrom(regs[r.a] & 0xff, 8));
-            break;
-          case RunMemo::ROp::kLoadWRR:
-          case RunMemo::ROp::kLoadWRI: {
-            uint32_t addr =
-                regs[r.a] + (r.op == RunMemo::ROp::kLoadWRR
-                                 ? regs[r.b]
-                                 : r.imm);
-            uint32_t stall = mem_.data(addr, false);
-            if (static_cast<uint64_t>(addr) + 4 > dataMem_.size())
-                loadData(addr, 4); // Same out-of-bounds fatal.
-            uint32_t v;
-            std::memcpy(&v, dataMem_.data() + addr, 4);
-            regs[r.dst] = v;
-            if (stall) {
-                // D-miss divergence, same protocol as the generic
-                // Load below.
-                const PInst &p = insts[i];
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                applyContrib(p.contrib);
-                applyDstWrite(p.dstWrite);
-                ++counters_.instructions;
-                ++executed_;
-                cycle_ = entry + mp->per[i].issueOff;
-                uint64_t rdy = cycle_ + p.latency + stall;
-                readyAt_[p.dst.reg] = rdy;
-                maxReady_ = std::max(maxReady_, rdy);
-                if (attr_)
-                    attr_->onInst(mp->start + i, mp->per[i].cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, mp->per[i].cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + 1;
-            }
-            break;
-          }
-          default: { // kGeneric: the original PInst handler.
-        const PInst &p = insts[i];
-        switch (p.kind) {
-          case PKind::AluAdd:
-            writeDst(p.dst, regs,
-                     readSrc(p.a, regs) + readSrc(p.b, regs));
-            break;
-          case PKind::AluSub:
-            writeDst(p.dst, regs,
-                     readSrc(p.a, regs) - readSrc(p.b, regs));
-            break;
-          case PKind::AluAnd:
-            writeDst(p.dst, regs,
-                     readSrc(p.a, regs) & readSrc(p.b, regs));
-            break;
-          case PKind::AluOrr:
-            writeDst(p.dst, regs,
-                     readSrc(p.a, regs) | readSrc(p.b, regs));
-            break;
-          case PKind::AluEor:
-            writeDst(p.dst, regs,
-                     readSrc(p.a, regs) ^ readSrc(p.b, regs));
-            break;
-          case PKind::AluLsl: {
-            uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
-            writeDst(p.dst, regs, b >= 32 ? 0 : a << b);
-            break;
-          }
-          case PKind::AluLsr: {
-            uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
-            writeDst(p.dst, regs, b >= 32 ? 0 : a >> b);
-            break;
-          }
-          case PKind::AluAsr: {
-            uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
-            writeDst(p.dst, regs,
-                     b >= 32
-                         ? (static_cast<int32_t>(a) < 0 ? ~0u : 0)
+    Outcome o;
+    o.wrote = true; // Every kind below writes dst unless it says not.
+    switch (p.kind) {
+      case PKind::AluAdd:
+        writeDst(p.dst, regs, readSrc(p.a, regs) + readSrc(p.b, regs));
+        break;
+      case PKind::AluSub:
+        writeDst(p.dst, regs, readSrc(p.a, regs) - readSrc(p.b, regs));
+        break;
+      case PKind::AluAnd:
+        writeDst(p.dst, regs, readSrc(p.a, regs) & readSrc(p.b, regs));
+        break;
+      case PKind::AluOrr:
+        writeDst(p.dst, regs, readSrc(p.a, regs) | readSrc(p.b, regs));
+        break;
+      case PKind::AluEor:
+        writeDst(p.dst, regs, readSrc(p.a, regs) ^ readSrc(p.b, regs));
+        break;
+      case PKind::AluLsl: {
+        uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
+        writeDst(p.dst, regs, b >= 32 ? 0 : a << b);
+        break;
+      }
+      case PKind::AluLsr: {
+        uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
+        writeDst(p.dst, regs, b >= 32 ? 0 : a >> b);
+        break;
+      }
+      case PKind::AluAsr: {
+        uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
+        writeDst(p.dst, regs,
+                 b >= 32 ? (static_cast<int32_t>(a) < 0 ? ~0u : 0)
                          : static_cast<uint32_t>(
                                static_cast<int32_t>(a) >> b));
-            break;
-          }
-          case PKind::Mul:
-            writeDst(p.dst, regs,
-                     readSrc(p.a, regs) * readSrc(p.b, regs));
-            break;
-          case PKind::Div: {
-            uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
-            if (b == 0) {
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                applyContrib(p.contrib);
-                ++counters_.instructions;
-                ++executed_;
-                fatal("machine division by zero");
-            }
-            writeDst(p.dst, regs,
-                     p.aux ? static_cast<uint32_t>(
-                                 static_cast<int32_t>(a) /
-                                 static_cast<int32_t>(b))
-                           : a / b);
-            break;
-          }
-          case PKind::Mov:
-            writeDst(p.dst, regs, readSrc(p.a, regs));
-            break;
-          case PKind::MovCond:
-            if (condHolds(p.cond)) {
-                if (!p.a.isImm) {
-                    if (p.a.mask == 0xff)
-                        ++counters_.rfRead8;
-                    else
-                        ++counters_.rfRead32;
-                }
-                writeDst(p.dst, regs, readSrc(p.a, regs));
-                if (p.dst.mask == 0xff)
-                    ++counters_.rfWrite8;
+        break;
+      }
+      case PKind::Mul:
+        writeDst(p.dst, regs, readSrc(p.a, regs) * readSrc(p.b, regs));
+        break;
+      case PKind::Div: {
+        uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
+        if (b == 0)
+            fatal("machine division by zero");
+        writeDst(p.dst, regs,
+                 p.aux ? static_cast<uint32_t>(
+                             static_cast<int32_t>(a) /
+                             static_cast<int32_t>(b))
+                       : a / b);
+        break;
+      }
+      case PKind::Mov:
+        writeDst(p.dst, regs, readSrc(p.a, regs));
+        break;
+      case PKind::MovCond:
+        // Accounts and times its own conditional write (dstWrite 0).
+        o.wrote = false;
+        if (condHolds(p.cond)) {
+            if (!p.a.isImm) {
+                if (p.a.mask == 0xff)
+                    ++counters_.rfRead8;
                 else
-                    ++counters_.rfWrite32;
-                readyAt_[p.dst.reg] = entry + mp->per[i].issueOff + 1;
+                    ++counters_.rfRead32;
             }
-            break;
-          case PKind::Mvn:
-            writeDst(p.dst, regs, ~readSrc(p.a, regs));
-            break;
-          case PKind::Movw:
-            writeDst(p.dst, regs, p.a.imm);
-            break;
-          case PKind::Movt: {
-            uint32_t lo = regs[p.dst.reg] & 0xffff;
-            writeDst(p.dst, regs, (p.a.imm << 16) | lo);
-            break;
-          }
-          case PKind::Cmp:
-            setFlagsSub(readSrc(p.a, regs), readSrc(p.b, regs), 32);
-            break;
-          case PKind::Cmp8:
-            setFlagsSub(readSrc(p.a, regs) & 0xff,
-                        readSrc(p.b, regs) & 0xff, 8);
-            break;
-          case PKind::Setcc:
-            writeDst(p.dst, regs, condHolds(p.cond) ? 1 : 0);
-            break;
-          case PKind::Sxth:
-            writeDst(p.dst, regs,
-                     static_cast<uint32_t>(
-                         sextFrom(readSrc(p.a, regs), 16)));
-            break;
-          case PKind::Uxth:
-            writeDst(p.dst, regs, readSrc(p.a, regs) & 0xffff);
-            break;
-          case PKind::Uxt8:
-            writeDst(p.dst, regs, readSrc(p.a, regs) & 0xff);
-            break;
-          case PKind::Sxt8:
-            writeDst(p.dst, regs,
-                     static_cast<uint32_t>(
-                         sextFrom(readSrc(p.a, regs) & 0xff, 8)));
-            break;
-          case PKind::Load: {
-            uint32_t addr =
-                readSrc(p.a, regs) + readSrc(p.b, regs);
-            uint32_t stall = mem_.data(addr, false);
-            writeDst(p.dst, regs, loadData(addr, p.aux));
-            if (stall) {
-                // D-miss: the schedule's no-stall dst readiness is
-                // wrong from here on — commit the prefix and resume
-                // cycle-accurately after this instruction.
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                applyContrib(p.contrib);
-                applyDstWrite(p.dstWrite);
-                ++counters_.instructions;
-                ++executed_;
-                cycle_ = entry + mp->per[i].issueOff;
-                uint64_t rdy = cycle_ + p.latency + stall;
-                readyAt_[p.dst.reg] = rdy;
-                maxReady_ = std::max(maxReady_, rdy);
-                if (attr_)
-                    attr_->onInst(mp->start + i, mp->per[i].cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, mp->per[i].cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + 1;
-            }
-            break;
-          }
-          case PKind::LoadSpec: {
-            uint32_t addr =
-                readSrc(p.a, regs) + readSrc(p.b, regs);
-            uint32_t stall = mem_.data(addr, false);
-            uint32_t v = loadData(addr, p.aux);
-            if (v > 0xff) {
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                applyContrib(p.contrib);
-                ++counters_.instructions;
-                ++executed_;
-                ++counters_.misspeculations;
-                if (attr_)
-                    attr_->onMisspec(mp->start + i);
-                if (prof_)
-                    prof_->onMisspec(mp->start + i);
-                cycle_ = entry + mp->per[i].issueOff + stall +
-                         kMisspecPenalty;
-                uint64_t cost =
-                    cycle_ - (entry + mp->per[i].cycBefore);
-                if (attr_)
-                    attr_->onInst(mp->start + i, cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + delta_ / kInstBytes;
-            }
-            writeDst(p.dst, regs, v);
-            if (stall) {
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                applyContrib(p.contrib);
-                applyDstWrite(p.dstWrite);
-                ++counters_.instructions;
-                ++executed_;
-                cycle_ = entry + mp->per[i].issueOff;
-                uint64_t rdy = cycle_ + p.latency + stall;
-                readyAt_[p.dst.reg] = rdy;
-                maxReady_ = std::max(maxReady_, rdy);
-                if (attr_)
-                    attr_->onInst(mp->start + i, mp->per[i].cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, mp->per[i].cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + 1;
-            }
-            break;
-          }
-          case PKind::Store: {
-            uint32_t addr =
-                readSrc(p.a, regs) + readSrc(p.b, regs);
-            uint32_t stall = mem_.data(addr, true);
-            storeData(addr, readSrc(p.dst, regs), p.aux);
-            if (stall) {
-                // Store misses advance the cycle itself; diverge.
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                applyContrib(p.contrib);
-                ++counters_.instructions;
-                ++executed_;
-                cycle_ = entry + mp->per[i].issueOff + stall;
-                uint64_t cost =
-                    cycle_ - (entry + mp->per[i].cycBefore);
-                if (attr_)
-                    attr_->onInst(mp->start + i, cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + 1;
-            }
-            break;
-          }
-          case PKind::Add8: case PKind::Sub8: {
-            uint32_t a = readSrc(p.a, regs) & 0xff;
-            uint32_t b = readSrc(p.b, regs) & 0xff;
-            uint32_t r;
-            bool misspec;
-            if (p.kind == PKind::Add8) {
-                uint32_t full = a + b;
-                misspec = p.aux && full > 0xff;
-                r = full & 0xff;
-            } else {
-                misspec = p.aux && a < b;
-                r = (a - b) & 0xff;
-            }
-            if (misspec) {
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                applyContrib(p.contrib);
-                ++counters_.instructions;
-                ++executed_;
-                ++counters_.misspeculations;
-                if (attr_)
-                    attr_->onMisspec(mp->start + i);
-                if (prof_)
-                    prof_->onMisspec(mp->start + i);
-                cycle_ =
-                    entry + mp->per[i].issueOff + kMisspecPenalty;
-                uint64_t cost =
-                    cycle_ - (entry + mp->per[i].cycBefore);
-                if (attr_)
-                    attr_->onInst(mp->start + i, cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + delta_ / kInstBytes;
-            }
-            writeDst(p.dst, regs, r);
-            break;
-          }
-          case PKind::Logic8And:
-            writeDst(p.dst, regs,
-                     (readSrc(p.a, regs) & readSrc(p.b, regs)) &
-                         0xff);
-            break;
-          case PKind::Logic8Orr:
-            writeDst(p.dst, regs,
-                     (readSrc(p.a, regs) | readSrc(p.b, regs)) &
-                         0xff);
-            break;
-          case PKind::Logic8Eor:
-            writeDst(p.dst, regs,
-                     (readSrc(p.a, regs) ^ readSrc(p.b, regs)) &
-                         0xff);
-            break;
-          case PKind::Trn8: {
-            uint32_t v = readSrc(p.a, regs);
-            if (p.aux && v > 0xff) {
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                applyContrib(p.contrib);
-                ++counters_.instructions;
-                ++executed_;
-                ++counters_.misspeculations;
-                if (attr_)
-                    attr_->onMisspec(mp->start + i);
-                if (prof_)
-                    prof_->onMisspec(mp->start + i);
-                cycle_ =
-                    entry + mp->per[i].issueOff + kMisspecPenalty;
-                uint64_t cost =
-                    cycle_ - (entry + mp->per[i].cycBefore);
-                if (attr_)
-                    attr_->onInst(mp->start + i, cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + delta_ / kInstBytes;
-            }
-            writeDst(p.dst, regs, v & 0xff);
-            break;
-          }
-          case PKind::Out:
-            emitOut(readSrc(p.a, regs));
-            break;
-          case PKind::SetDelta:
-            delta_ = p.a.imm;
-            break;
-          case PKind::Mode:
-            classicMode_ = p.aux;
-            break;
-          case PKind::Nop:
-            break;
-          default:
-            panic("replay: unexpected kind in memo body");
+            writeDst(p.dst, regs, readSrc(p.a, regs));
+            if (p.dst.mask == 0xff)
+                ++counters_.rfWrite8;
+            else
+                ++counters_.rfWrite32;
+            readyAt_[p.dst.reg] = issue + 1;
+            maxReady_ = std::max(maxReady_, issue + 1);
         }
         break;
-          }
+      case PKind::Mvn:
+        writeDst(p.dst, regs, ~readSrc(p.a, regs));
+        break;
+      case PKind::Movw:
+        writeDst(p.dst, regs, p.a.imm);
+        break;
+      case PKind::Movt: {
+        uint32_t lo = regs[p.dst.reg] & 0xffff;
+        writeDst(p.dst, regs, (p.a.imm << 16) | lo);
+        break;
+      }
+      case PKind::Cmp:
+        setFlagsSub(readSrc(p.a, regs), readSrc(p.b, regs), 32);
+        o.wrote = false;
+        break;
+      case PKind::Cmp8:
+        setFlagsSub(readSrc(p.a, regs) & 0xff,
+                    readSrc(p.b, regs) & 0xff, 8);
+        o.wrote = false;
+        break;
+      case PKind::Setcc:
+        writeDst(p.dst, regs, condHolds(p.cond) ? 1 : 0);
+        break;
+      case PKind::Sxth:
+        writeDst(p.dst, regs,
+                 static_cast<uint32_t>(sextFrom(readSrc(p.a, regs), 16)));
+        break;
+      case PKind::Uxth:
+        writeDst(p.dst, regs, readSrc(p.a, regs) & 0xffff);
+        break;
+      case PKind::Uxt8:
+        writeDst(p.dst, regs, readSrc(p.a, regs) & 0xff);
+        break;
+      case PKind::Sxt8:
+        writeDst(p.dst, regs,
+                 static_cast<uint32_t>(
+                     sextFrom(readSrc(p.a, regs) & 0xff, 8)));
+        break;
+      case PKind::Load: {
+        uint32_t addr = readSrc(p.a, regs) + readSrc(p.b, regs);
+        o.stall = mem_.data(addr, false);
+        writeDst(p.dst, regs, loadData(addr, p.aux));
+        break;
+      }
+      case PKind::LoadSpec: {
+        uint32_t addr = readSrc(p.a, regs) + readSrc(p.b, regs);
+        o.stall = mem_.data(addr, false);
+        uint32_t v = loadData(addr, p.aux);
+        if (v > 0xff || shouldForce(policy)) {
+            o.wrote = false;
+            o.misspec = true;
+            break;
         }
-        // Branchless: no-write instructions target the scratch slot.
-        readyAt_[r.writeReg] = entry + r.readyOff;
+        writeDst(p.dst, regs, v);
+        break;
+      }
+      case PKind::Store: {
+        uint32_t addr = readSrc(p.a, regs) + readSrc(p.b, regs);
+        o.stall = mem_.data(addr, true);
+        storeData(addr, readSrc(p.dst, regs), p.aux);
+        o.wrote = false;
+        break;
+      }
+      case PKind::Add8: {
+        uint32_t a = readSrc(p.a, regs) & 0xff;
+        uint32_t b = readSrc(p.b, regs) & 0xff;
+        uint32_t full = a + b;
+        if (p.aux && (full > 0xff || shouldForce(policy))) {
+            o.wrote = false;
+            o.misspec = true;
+            break;
+        }
+        writeDst(p.dst, regs, full & 0xff);
+        break;
+      }
+      case PKind::Sub8: {
+        uint32_t a = readSrc(p.a, regs) & 0xff;
+        uint32_t b = readSrc(p.b, regs) & 0xff;
+        if (p.aux && (a < b || shouldForce(policy))) {
+            o.wrote = false;
+            o.misspec = true;
+            break;
+        }
+        writeDst(p.dst, regs, (a - b) & 0xff);
+        break;
+      }
+      case PKind::Logic8And:
+        writeDst(p.dst, regs,
+                 (readSrc(p.a, regs) & readSrc(p.b, regs)) & 0xff);
+        break;
+      case PKind::Logic8Orr:
+        writeDst(p.dst, regs,
+                 (readSrc(p.a, regs) | readSrc(p.b, regs)) & 0xff);
+        break;
+      case PKind::Logic8Eor:
+        writeDst(p.dst, regs,
+                 (readSrc(p.a, regs) ^ readSrc(p.b, regs)) & 0xff);
+        break;
+      case PKind::Trn8: {
+        uint32_t v = readSrc(p.a, regs);
+        if (p.aux && (v > 0xff || shouldForce(policy))) {
+            o.wrote = false;
+            o.misspec = true;
+            break;
+        }
+        writeDst(p.dst, regs, v & 0xff);
+        break;
+      }
+      case PKind::Out:
+        emitOut(readSrc(p.a, regs));
+        o.wrote = false;
+        break;
+      case PKind::SetDelta:
+        delta_ = p.a.imm;
+        o.wrote = false;
+        break;
+      case PKind::Mode:
+        classicMode_ = p.aux;
+        o.wrote = false;
+        break;
+      case PKind::Nop:
+        o.wrote = false;
+        break;
+      case PKind::Bad:
+        panic("readOpnd: unallocated operand");
+      default:
+        panic("execute: terminator kind");
     }
-
-    // Clean body completion.
-    cycle_ = entry + mp->bodyCycles;
-    maxReady_ = std::max(maxReady_, entry + mp->maxReadyOff);
-
-    if (mp->termIsBranch && !attr_ && !prof_) {
-        // Branch terminators complete inline: no execTerminator
-        // dispatch (its static accounting already rides in the memo
-        // delta). A taken backedge to our own start — the hot inner
-        // loop — drops straight into the next iteration with no
-        // run-loop dispatch, residency probe or per-iteration fetch
-        // commit: residency cannot change between iterations (no
-        // other I-line is touched), so only fuel and readiness
-        // re-check. With a sink attached we take the standard path
-        // below so the per-instruction feed keeps its exact order.
-        cycle_ += 1; // Terminator fetch (committed in the flush).
-        executed_ += mp->len + 1;
-        ++iters;
-        if (condHolds(mp->backCond)) {
-            ++counters_.takenBranches;
-            cycle_ += kBranchPenalty;
-            if (mp->selfBackedge) {
-                entry = cycle_;
-                if (executed_ + mp->fuelCost <= fuel_ && entryReady(*mp))
-                    goto iterate;
-                flushIters(*mp, iters);
-                return mp->start; // Fuel/readiness: re-guard in run().
-            }
-            flushIters(*mp, iters);
-            next = mp->termTarget;
-            goto chain;
-        }
-        flushIters(*mp, iters);
-        next = mp->start + mp->len + 1; // Branch not taken.
-
-      chain:
-        // Block chaining: when the successor already has an eligible
-        // memo and its entry guards hold, continue replaying it right
-        // here — no dispatcher round trip. (tracks_ is null whenever
-        // replay runs, so only the run()-loop guards apply.)
-        {
-            int32_t mi = memoIdx_[next];
-            if (mi >= 0) {
-                RunMemo &n = memos_[static_cast<size_t>(mi)];
-                if (n.eligible && executed_ + n.fuelCost <= fuel_ &&
-                    entryReady(n) && fetchGuard(n)) {
-                    mp = &n;
-                    insts = pre_.insts().data() + mp->start;
-                    entry = cycle_;
-                    iters = 0;
-                    goto iterate;
-                }
-            }
-        }
-        return next;
-    }
-
-    // Commit the whole body from the memo, then run the terminator.
-    // Counter deltas (body + static terminator parts) are deferred —
-    // one pendingReplays increment here, multiplied out at finish().
-    commitFetches(*mp, 1);
-    ++mp->pendingReplays;
-    executed_ += mp->len;
-    if (attr_)
-        for (uint32_t i = 0; i < mp->len; ++i)
-            attr_->onInst(mp->start + i, mp->per[i].cost);
-    if (prof_)
-        for (uint32_t i = 0; i < mp->len; ++i)
-            prof_->onInst(mp->start + i, mp->per[i].cost);
-    ++replayedRuns_;
-    return execTerminator(*mp);
+    return o;
 }
 
-uint32_t
-FastCore::execTerminator(const RunMemo &m)
+[[gnu::always_inline]] inline uint32_t
+FastCore::retire(uint32_t idx, const PInst &p, Outcome o,
+                 uint64_t cycle_at_fetch)
 {
-    const uint32_t idx = m.start + m.len;
-    const PInst &p = pre_.insts()[idx];
-    const uint64_t cycle_at_fetch = cycle_;
-    cycle_ += 1; // Fetch: L1I hit, committed in bulk above.
-    ++executed_;
-    // Instruction and static contrib counts ride in the memo's
-    // deferred delta; only the dynamic takenBranches below is live.
-
     uint32_t next = idx + 1;
+    if (o.wrote) {
+        // A load's miss stall delays its destination, not the
+        // pipeline.
+        const uint64_t rdy = cycle_ + p.latency + o.stall;
+        readyAt_[p.dst.reg] = rdy;
+        maxReady_ = std::max(maxReady_, rdy);
+        applyDstWrite(p.dstWrite);
+    } else {
+        cycle_ += o.stall; // A store's, or a misspeculating load's.
+    }
+    if (o.misspec) {
+        ++counters_.misspeculations;
+        if (attr_)
+            attr_->onMisspec(idx);
+        if (prof_)
+            prof_->onMisspec(idx);
+        next = idx + delta_ / kInstBytes;
+        cycle_ += kMisspecPenalty;
+    }
+    if (attr_)
+        attr_->onInst(idx, cycle_ - cycle_at_fetch);
+    if (prof_)
+        prof_->onInst(idx, cycle_ - cycle_at_fetch);
+    if (tracks_)
+        tracks_->onRetire(counters_, mem_, cycle_);
+    return next;
+}
+
+[[gnu::always_inline]] inline uint32_t
+FastCore::terminate(uint32_t idx, const PInst &p,
+                    uint64_t cycle_at_fetch)
+{
+    uint32_t next = idx + 1;
+    bool halt = false;
     switch (p.kind) {
       case PKind::Branch:
         if (condHolds(p.cond)) {
@@ -1156,45 +786,253 @@ FastCore::execTerminator(const RunMemo &m)
         next = p.target;
         cycle_ += kBranchPenalty;
         break;
-      case PKind::Ret: {
-        uint32_t lr = regs_[kRegLR];
+      case PKind::Ret:
         cycle_ += kBranchPenalty;
-        if (lr == MachProgram::kHaltAddr) {
-            if (attr_)
-                attr_->onInst(idx, cycle_ - cycle_at_fetch);
-            if (prof_)
-                prof_->onInst(idx, cycle_ - cycle_at_fetch);
-            finish(cycle_);
-            if (tracks_)
-                tracks_->finish(counters_, mem_, cycle_);
-            halted_ = true;
-            retVal_ = regs_[0];
-            return idx;
-        }
-        next = prog_.indexOf(lr);
+        halt = regs_[kRegLR] == MachProgram::kHaltAddr;
+        next = prog_.indexOf(regs_[kRegLR]);
         break;
-      }
       case PKind::Halt:
-        if (attr_)
-            attr_->onInst(idx, cycle_ - cycle_at_fetch);
-        if (prof_)
-            prof_->onInst(idx, cycle_ - cycle_at_fetch);
-        finish(cycle_);
-        if (tracks_)
-            tracks_->finish(counters_, mem_, cycle_);
-        halted_ = true;
-        retVal_ = regs_[0];
-        return idx;
+        halt = true;
+        break;
       default:
-        panic("execTerminator: not a terminator");
+        panic("terminate: not a terminator");
     }
     if (attr_)
         attr_->onInst(idx, cycle_ - cycle_at_fetch);
     if (prof_)
         prof_->onInst(idx, cycle_ - cycle_at_fetch);
-    if (tracks_)
+    if (halt) {
+        finish(cycle_);
+        if (tracks_)
+            tracks_->finish(counters_, mem_, cycle_);
+        halted_ = true;
+        retVal_ = regs_[0];
+    } else if (tracks_) {
         tracks_->onRetire(counters_, mem_, cycle_);
+    }
     return next;
+}
+
+uint32_t
+FastCore::replay(RunMemo &m0)
+{
+    RunMemo *mp = &m0; // Re-pointed when block chaining continues.
+    uint32_t *regs = regs_;
+    for (;;) {
+        const uint64_t entry = cycle_;
+        const PInst *insts = pre_.insts().data() + mp->start;
+        for (uint32_t i = 0; i < mp->len; ++i) {
+            const RunMemo::ROp &r = mp->ops[i];
+            switch (r.op) {
+              case RunMemo::ROp::kAddRR:
+                regs[r.dst] = regs[r.a] + regs[r.b];
+                break;
+              case RunMemo::ROp::kAddRI:
+                regs[r.dst] = regs[r.a] + r.imm;
+                break;
+              case RunMemo::ROp::kSubRR:
+                regs[r.dst] = regs[r.a] - regs[r.b];
+                break;
+              case RunMemo::ROp::kSubRI:
+                regs[r.dst] = regs[r.a] - r.imm;
+                break;
+              case RunMemo::ROp::kSubIR:
+                regs[r.dst] = r.imm - regs[r.a];
+                break;
+              case RunMemo::ROp::kAndRR:
+                regs[r.dst] = regs[r.a] & regs[r.b];
+                break;
+              case RunMemo::ROp::kAndRI:
+                regs[r.dst] = regs[r.a] & r.imm;
+                break;
+              case RunMemo::ROp::kOrrRR:
+                regs[r.dst] = regs[r.a] | regs[r.b];
+                break;
+              case RunMemo::ROp::kOrrRI:
+                regs[r.dst] = regs[r.a] | r.imm;
+                break;
+              case RunMemo::ROp::kEorRR:
+                regs[r.dst] = regs[r.a] ^ regs[r.b];
+                break;
+              case RunMemo::ROp::kEorRI:
+                regs[r.dst] = regs[r.a] ^ r.imm;
+                break;
+              case RunMemo::ROp::kLslRR: {
+                uint32_t s = regs[r.b];
+                regs[r.dst] = s >= 32 ? 0 : regs[r.a] << s;
+                break;
+              }
+              case RunMemo::ROp::kLslRI:
+                regs[r.dst] = r.imm >= 32 ? 0 : regs[r.a] << r.imm;
+                break;
+              case RunMemo::ROp::kLsrRR: {
+                uint32_t s = regs[r.b];
+                regs[r.dst] = s >= 32 ? 0 : regs[r.a] >> s;
+                break;
+              }
+              case RunMemo::ROp::kLsrRI:
+                regs[r.dst] = r.imm >= 32 ? 0 : regs[r.a] >> r.imm;
+                break;
+              case RunMemo::ROp::kAsrRR: {
+                uint32_t s = regs[r.b];
+                int32_t a = static_cast<int32_t>(regs[r.a]);
+                regs[r.dst] = s >= 32
+                                  ? (a < 0 ? ~0u : 0)
+                                  : static_cast<uint32_t>(a >> s);
+                break;
+              }
+              case RunMemo::ROp::kAsrRI: {
+                int32_t a = static_cast<int32_t>(regs[r.a]);
+                regs[r.dst] = r.imm >= 32
+                                  ? (a < 0 ? ~0u : 0)
+                                  : static_cast<uint32_t>(a >> r.imm);
+                break;
+              }
+              case RunMemo::ROp::kMulRR:
+                regs[r.dst] = regs[r.a] * regs[r.b];
+                break;
+              case RunMemo::ROp::kMulRI:
+                regs[r.dst] = regs[r.a] * r.imm;
+                break;
+              case RunMemo::ROp::kMovR:
+                regs[r.dst] = regs[r.a];
+                break;
+              case RunMemo::ROp::kMovI:
+                regs[r.dst] = r.imm;
+                break;
+              case RunMemo::ROp::kMvnR:
+                regs[r.dst] = ~regs[r.a];
+                break;
+              case RunMemo::ROp::kMovtI:
+                regs[r.dst] = (r.imm << 16) | (regs[r.dst] & 0xffff);
+                break;
+              case RunMemo::ROp::kCmpRR:
+                setFlagsSub(regs[r.a], regs[r.b], 32);
+                break;
+              case RunMemo::ROp::kCmpRI:
+                setFlagsSub(regs[r.a], r.imm, 32);
+                break;
+              case RunMemo::ROp::kCmpIR:
+                setFlagsSub(r.imm, regs[r.b], 32);
+                break;
+              case RunMemo::ROp::kSetcc:
+                regs[r.dst] =
+                    condHolds(static_cast<Cond>(r.imm)) ? 1 : 0;
+                break;
+              case RunMemo::ROp::kSxth:
+                regs[r.dst] =
+                    static_cast<uint32_t>(sextFrom(regs[r.a], 16));
+                break;
+              case RunMemo::ROp::kUxth:
+                regs[r.dst] = regs[r.a] & 0xffff;
+                break;
+              case RunMemo::ROp::kUxt8:
+                regs[r.dst] = regs[r.a] & 0xff;
+                break;
+              case RunMemo::ROp::kSxt8:
+                regs[r.dst] = static_cast<uint32_t>(
+                    sextFrom(regs[r.a] & 0xff, 8));
+                break;
+              case RunMemo::ROp::kLoadWRR:
+              case RunMemo::ROp::kLoadWRI: {
+                uint32_t addr =
+                    regs[r.a] + (r.op == RunMemo::ROp::kLoadWRR
+                                     ? regs[r.b]
+                                     : r.imm);
+                uint32_t stall = mem_.data(addr, false);
+                if (static_cast<uint64_t>(addr) + 4 > dataMem_.size())
+                    loadData(addr, 4); // Same out-of-bounds fatal.
+                uint32_t v;
+                std::memcpy(&v, dataMem_.data() + addr, 4);
+                regs[r.dst] = v;
+                if (stall)
+                    return diverge(*mp, i, Outcome{stall, true});
+                break;
+              }
+              default: { // kGeneric.
+                const Outcome o = execute(insts[i], entry + r.imm,
+                                          MisspecPolicy::Hardware);
+                if (!o.clean())
+                    return diverge(*mp, i, o);
+                break;
+              }
+            }
+            // Branchless: no-write instructions target the scratch
+            // slot.
+            readyAt_[r.writeReg] = entry + r.readyOff;
+        }
+
+        // Clean body: commit it from the memo, then retire the
+        // terminator. Counter deltas (body + static terminator parts)
+        // are deferred — one pendingReplays increment here,
+        // multiplied out at finish().
+        cycle_ = entry + mp->bodyCycles;
+        maxReady_ = std::max(maxReady_, entry + mp->maxReadyOff);
+        commitFetches(*mp);
+        ++mp->pendingReplays;
+        ++replayedRuns_;
+        executed_ += mp->fuelCost;
+        if (attr_)
+            for (uint32_t i = 0; i < mp->len; ++i)
+                attr_->onInst(mp->start + i, mp->per[i].cost);
+        if (prof_)
+            for (uint32_t i = 0; i < mp->len; ++i)
+                prof_->onInst(mp->start + i, mp->per[i].cost);
+        const uint64_t term_fetch = cycle_;
+        cycle_ += 1; // Terminator fetch: L1I hit, committed above.
+        const uint32_t next =
+            terminate(mp->start + mp->len, insts[mp->len], term_fetch);
+
+        // Block chaining: when the successor already has an eligible
+        // memo and its entry guards hold, continue replaying it right
+        // here — no dispatcher round trip. These are run()'s guards
+        // (tracks_ is null and the policy Hardware whenever replay
+        // runs), so the path taken and every sink feed are unchanged.
+        if (halted_ || next >= memoIdx_.size() || memoIdx_[next] < 0)
+            return next;
+        RunMemo &n = memos_[static_cast<size_t>(memoIdx_[next])];
+        if (!n.eligible || executed_ + n.fuelCost > fuel_ ||
+            !entryReady(n) || !fetchGuard(n))
+            return next;
+        mp = &n;
+    }
+}
+
+uint32_t
+FastCore::diverge(const RunMemo &m, uint32_t i, Outcome o)
+{
+    // The i body instructions retired plus the diverging one were all
+    // fetched; their lines are resident (entry guard), so the fetch
+    // sequence commits in bulk. L1I traffic never reaches L2 here, so
+    // committing after the already-performed D-accesses preserves the
+    // legacy hierarchy state exactly.
+    const uint64_t entry = cycle_;
+    const uint32_t idx = m.start + i;
+    mem_.fetchRangeCommit(m.fetchFirst, prog_.addrOf(idx));
+    const PInst *insts = pre_.insts().data() + m.start;
+    for (uint32_t j = 0; j < i; ++j) {
+        applyContrib(insts[j].contrib);
+        applyDstWrite(insts[j].dstWrite);
+    }
+    counters_.instructions += i;
+    executed_ += i;
+    if (attr_)
+        for (uint32_t j = 0; j < i; ++j)
+            attr_->onInst(m.start + j, m.per[j].cost);
+    if (prof_)
+        for (uint32_t j = 0; j < i; ++j)
+            prof_->onInst(m.start + j, m.per[j].cost);
+    // Upper bound over the prefix's scoreboard writes (readyAt_ is
+    // exact — the replay loop updated it per write).
+    maxReady_ = std::max(maxReady_, entry + m.maxReadyOff);
+
+    // The diverging instruction itself, from its issue cycle.
+    const PInst &p = insts[i];
+    applyContrib(p.contrib);
+    ++counters_.instructions;
+    ++executed_;
+    cycle_ = entry + m.per[i].issueOff;
+    return retire(idx, p, o, entry + m.per[i].cycBefore);
 }
 
 uint32_t
@@ -1205,7 +1043,6 @@ FastCore::slowStep(uint32_t idx)
         fatal("machine execution out of fuel (infinite loop?)");
 
     const PInst &p = pre_.insts()[idx];
-    uint32_t *regs = regs_;
     const uint64_t cycle_at_fetch = cycle_;
     cycle_ += 1 + mem_.fetch(prog_.addrOf(idx));
     ++counters_.instructions;
@@ -1217,295 +1054,9 @@ FastCore::slowStep(uint32_t idx)
     if (ready > cycle_)
         cycle_ = ready;
 
-    uint32_t next = idx + 1;
-    bool wrote = false;
-    uint64_t dst_ready = cycle_ + 1;
-
-    auto misspeculate = [&]() {
-        ++counters_.misspeculations;
-        if (attr_)
-            attr_->onMisspec(idx);
-        if (prof_)
-            prof_->onMisspec(idx);
-        next = idx + delta_ / kInstBytes;
-        cycle_ += kMisspecPenalty;
-    };
-
-    switch (p.kind) {
-      case PKind::AluAdd:
-        writeDst(p.dst, regs,
-                 readSrc(p.a, regs) + readSrc(p.b, regs));
-        wrote = true;
-        break;
-      case PKind::AluSub:
-        writeDst(p.dst, regs,
-                 readSrc(p.a, regs) - readSrc(p.b, regs));
-        wrote = true;
-        break;
-      case PKind::AluAnd:
-        writeDst(p.dst, regs,
-                 readSrc(p.a, regs) & readSrc(p.b, regs));
-        wrote = true;
-        break;
-      case PKind::AluOrr:
-        writeDst(p.dst, regs,
-                 readSrc(p.a, regs) | readSrc(p.b, regs));
-        wrote = true;
-        break;
-      case PKind::AluEor:
-        writeDst(p.dst, regs,
-                 readSrc(p.a, regs) ^ readSrc(p.b, regs));
-        wrote = true;
-        break;
-      case PKind::AluLsl: {
-        uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
-        writeDst(p.dst, regs, b >= 32 ? 0 : a << b);
-        wrote = true;
-        break;
-      }
-      case PKind::AluLsr: {
-        uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
-        writeDst(p.dst, regs, b >= 32 ? 0 : a >> b);
-        wrote = true;
-        break;
-      }
-      case PKind::AluAsr: {
-        uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
-        writeDst(p.dst, regs,
-                 b >= 32 ? (static_cast<int32_t>(a) < 0 ? ~0u : 0)
-                         : static_cast<uint32_t>(
-                               static_cast<int32_t>(a) >> b));
-        wrote = true;
-        break;
-      }
-      case PKind::Mul:
-        writeDst(p.dst, regs,
-                 readSrc(p.a, regs) * readSrc(p.b, regs));
-        wrote = true;
-        dst_ready = cycle_ + p.latency;
-        break;
-      case PKind::Div: {
-        uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
-        if (b == 0)
-            fatal("machine division by zero");
-        writeDst(p.dst, regs,
-                 p.aux ? static_cast<uint32_t>(
-                             static_cast<int32_t>(a) /
-                             static_cast<int32_t>(b))
-                       : a / b);
-        wrote = true;
-        dst_ready = cycle_ + p.latency;
-        break;
-      }
-      case PKind::Mov:
-        writeDst(p.dst, regs, readSrc(p.a, regs));
-        wrote = true;
-        break;
-      case PKind::MovCond:
-        if (condHolds(p.cond)) {
-            if (!p.a.isImm) {
-                if (p.a.mask == 0xff)
-                    ++counters_.rfRead8;
-                else
-                    ++counters_.rfRead32;
-            }
-            writeDst(p.dst, regs, readSrc(p.a, regs));
-            if (p.dst.mask == 0xff)
-                ++counters_.rfWrite8;
-            else
-                ++counters_.rfWrite32;
-            wrote = true;
-        }
-        break;
-      case PKind::Mvn:
-        writeDst(p.dst, regs, ~readSrc(p.a, regs));
-        wrote = true;
-        break;
-      case PKind::Movw:
-        writeDst(p.dst, regs, p.a.imm);
-        wrote = true;
-        break;
-      case PKind::Movt: {
-        uint32_t lo = regs[p.dst.reg] & 0xffff;
-        writeDst(p.dst, regs, (p.a.imm << 16) | lo);
-        wrote = true;
-        break;
-      }
-      case PKind::Cmp:
-        setFlagsSub(readSrc(p.a, regs), readSrc(p.b, regs), 32);
-        break;
-      case PKind::Cmp8:
-        setFlagsSub(readSrc(p.a, regs) & 0xff,
-                    readSrc(p.b, regs) & 0xff, 8);
-        break;
-      case PKind::Setcc:
-        writeDst(p.dst, regs, condHolds(p.cond) ? 1 : 0);
-        wrote = true;
-        break;
-      case PKind::Sxth:
-        writeDst(p.dst, regs,
-                 static_cast<uint32_t>(
-                     sextFrom(readSrc(p.a, regs), 16)));
-        wrote = true;
-        break;
-      case PKind::Uxth:
-        writeDst(p.dst, regs, readSrc(p.a, regs) & 0xffff);
-        wrote = true;
-        break;
-      case PKind::Uxt8:
-        writeDst(p.dst, regs, readSrc(p.a, regs) & 0xff);
-        wrote = true;
-        break;
-      case PKind::Sxt8:
-        writeDst(p.dst, regs,
-                 static_cast<uint32_t>(
-                     sextFrom(readSrc(p.a, regs) & 0xff, 8)));
-        wrote = true;
-        break;
-      case PKind::Load: {
-        uint32_t addr = readSrc(p.a, regs) + readSrc(p.b, regs);
-        uint32_t stall = mem_.data(addr, false);
-        writeDst(p.dst, regs, loadData(addr, p.aux));
-        wrote = true;
-        dst_ready = cycle_ + p.latency + stall;
-        break;
-      }
-      case PKind::LoadSpec: {
-        uint32_t addr = readSrc(p.a, regs) + readSrc(p.b, regs);
-        uint32_t stall = mem_.data(addr, false);
-        uint32_t v = loadData(addr, p.aux);
-        if (v > 0xff || shouldForce()) {
-            cycle_ += stall;
-            misspeculate();
-            break;
-        }
-        writeDst(p.dst, regs, v);
-        wrote = true;
-        dst_ready = cycle_ + p.latency + stall;
-        break;
-      }
-      case PKind::Store: {
-        uint32_t addr = readSrc(p.a, regs) + readSrc(p.b, regs);
-        cycle_ += mem_.data(addr, true);
-        storeData(addr, readSrc(p.dst, regs), p.aux);
-        break;
-      }
-      case PKind::Add8: {
-        uint32_t a = readSrc(p.a, regs) & 0xff;
-        uint32_t b = readSrc(p.b, regs) & 0xff;
-        uint32_t full = a + b;
-        if (p.aux && (full > 0xff || shouldForce())) {
-            misspeculate();
-            break;
-        }
-        writeDst(p.dst, regs, full & 0xff);
-        wrote = true;
-        break;
-      }
-      case PKind::Sub8: {
-        uint32_t a = readSrc(p.a, regs) & 0xff;
-        uint32_t b = readSrc(p.b, regs) & 0xff;
-        if (p.aux && (a < b || shouldForce())) {
-            misspeculate();
-            break;
-        }
-        writeDst(p.dst, regs, (a - b) & 0xff);
-        wrote = true;
-        break;
-      }
-      case PKind::Logic8And:
-        writeDst(p.dst, regs,
-                 (readSrc(p.a, regs) & readSrc(p.b, regs)) & 0xff);
-        wrote = true;
-        break;
-      case PKind::Logic8Orr:
-        writeDst(p.dst, regs,
-                 (readSrc(p.a, regs) | readSrc(p.b, regs)) & 0xff);
-        wrote = true;
-        break;
-      case PKind::Logic8Eor:
-        writeDst(p.dst, regs,
-                 (readSrc(p.a, regs) ^ readSrc(p.b, regs)) & 0xff);
-        wrote = true;
-        break;
-      case PKind::Trn8: {
-        uint32_t v = readSrc(p.a, regs);
-        if (p.aux && (v > 0xff || shouldForce())) {
-            misspeculate();
-            break;
-        }
-        writeDst(p.dst, regs, v & 0xff);
-        wrote = true;
-        break;
-      }
-      case PKind::Branch:
-        if (condHolds(p.cond)) {
-            ++counters_.takenBranches;
-            next = p.target;
-            cycle_ += kBranchPenalty;
-        }
-        break;
-      case PKind::Call:
-        regs_[kRegLR] = prog_.addrOf(idx + 1);
-        next = p.target;
-        cycle_ += kBranchPenalty;
-        break;
-      case PKind::Ret: {
-        uint32_t lr = regs_[kRegLR];
-        cycle_ += kBranchPenalty;
-        if (lr == MachProgram::kHaltAddr) {
-            if (attr_)
-                attr_->onInst(idx, cycle_ - cycle_at_fetch);
-            if (prof_)
-                prof_->onInst(idx, cycle_ - cycle_at_fetch);
-            finish(cycle_);
-            if (tracks_)
-                tracks_->finish(counters_, mem_, cycle_);
-            halted_ = true;
-            retVal_ = regs_[0];
-            return idx;
-        }
-        next = prog_.indexOf(lr);
-        break;
-      }
-      case PKind::Out:
-        emitOut(readSrc(p.a, regs));
-        break;
-      case PKind::SetDelta:
-        delta_ = p.a.imm;
-        break;
-      case PKind::Mode:
-        classicMode_ = p.aux;
-        break;
-      case PKind::Nop:
-        break;
-      case PKind::Halt:
-        if (attr_)
-            attr_->onInst(idx, cycle_ - cycle_at_fetch);
-        if (prof_)
-            prof_->onInst(idx, cycle_ - cycle_at_fetch);
-        finish(cycle_);
-        if (tracks_)
-            tracks_->finish(counters_, mem_, cycle_);
-        halted_ = true;
-        retVal_ = regs_[0];
-        return idx;
-      case PKind::Bad:
-        panic("readOpnd: unallocated operand");
-    }
-
-    if (wrote) {
-        readyAt_[p.dst.reg] = dst_ready;
-        maxReady_ = std::max(maxReady_, dst_ready);
-        applyDstWrite(p.dstWrite); // MovCond accounted its own.
-    }
-    if (attr_)
-        attr_->onInst(idx, cycle_ - cycle_at_fetch);
-    if (prof_)
-        prof_->onInst(idx, cycle_ - cycle_at_fetch);
-    if (tracks_)
-        tracks_->onRetire(counters_, mem_, cycle_);
-    return next;
+    if (isTerminator(p.kind))
+        return terminate(idx, p, cycle_at_fetch);
+    return retire(idx, p, execute(p, cycle_, policy_), cycle_at_fetch);
 }
 
 uint32_t

@@ -6,10 +6,13 @@
  * bit-identical, ctest-enforced), an order of magnitude faster on the
  * no-miss hot path.
  *
- * Two execution paths:
+ * Two execution paths over one body per behaviour:
  *
  *  - Slow path: one pre-decoded instruction at a time, cycle-accurate,
- *    a direct port of the legacy Core loop over PInst handlers.
+ *    a direct port of the legacy Core loop: fetch and issue stall,
+ *    then execute() (the functional work of every non-terminator
+ *    kind) and retire() (timing and accounting from its Outcome), or
+ *    terminate() for Branch/Call/Ret/Halt.
  *
  *  - Block replay: straight-line runs (block bodies up to their
  *    terminator) get a RunMemo — a statically computed schedule of the
@@ -17,13 +20,15 @@
  *    summed counter deltas, per-instruction cycle costs and
  *    scoreboard effects. When the entry guards hold (operands the
  *    schedule assumed ready are ready, fuel suffices, every I-line is
- *    resident), the run replays in one sweep: handlers execute only
- *    the functional work, and timing/accounting commit from the memo.
- *    D-cache accesses are still performed for real, so hierarchy
- *    state stays exact; the first dynamic divergence (D-miss, store
- *    stall, misspeculation) commits the prefix from the memo,
- *    finishes the diverging instruction cycle-accurately, and drops
- *    back to the slow path.
+ *    resident), the run replays in one sweep: ROp micro-ops or the
+ *    same execute() do only the functional work, and timing/accounting
+ *    commit from the memo. D-cache accesses are still performed for
+ *    real, so hierarchy state stays exact; the first dynamic
+ *    divergence (D-miss, store stall, misspeculation) goes through
+ *    diverge(): commit the prefix from the memo, retire the diverging
+ *    instruction cycle-accurately, and drop back to the slow path. A
+ *    clean body ends in the same terminate() and may chain straight
+ *    into the successor's memo.
  *
  * Memos depend only on code geometry, so they live per FastCore and
  * survive across runs; invalidateMemos() drops them (the analogue of
@@ -75,6 +80,11 @@ class FastCore
      *  at HALT. */
     uint32_t run(const std::vector<uint32_t> &args = {});
 
+    /** Valid after run() returns. After run() raises a FatalError
+     *  (division by zero, out-of-bounds access, bad PC, fuel) the
+     *  counters, memory stats and output are undefined until reset():
+     *  a trap leaves deferred replay counts unfolded, and nothing
+     *  reads the counters of a trapped run. */
     const ActivityCounters &counters() const { return counters_; }
     const MemoryHierarchy &memory() const { return mem_; }
     const std::vector<uint64_t> &output() const { return output_; }
@@ -146,16 +156,6 @@ class FastCore
          *  committed as delta * pendingReplays at finish() instead of
          *  per replay (the hot path's biggest accounting cost). */
         uint64_t pendingReplays = 0;
-        /** Branch terminators complete inline in replay() (no
-         *  execTerminator dispatch); a branch back to start — the hot
-         *  inner-loop shape — additionally iterates inside replay(),
-         *  skipping the per-iteration run-loop, residency guard and
-         *  fetch commit (L1I is untouched between iterations, so the
-         *  bulk commit at exit is exact). */
-        bool termIsBranch = false;
-        bool selfBackedge = false;
-        Cond backCond = Cond::AL;
-        uint32_t termTarget = 0;
         /** Pinned L1I footprint (slots + per-line fetch counts).
          *  While the L1I fill generation matches, the residency guard
          *  is one compare and the fetch commit a direct stat bump. */
@@ -164,7 +164,7 @@ class FastCore
          *  full-width register/flag operations are pre-resolved to
          *  direct register-file ops; anything that can diverge, touch
          *  memory or write a sub-register slice stays Generic and
-         *  executes the original PInst handler. */
+         *  runs execute(). */
         struct ROp
         {
             enum K : uint8_t
@@ -180,7 +180,9 @@ class FastCore
             };
             uint8_t op = kGeneric;
             uint8_t dst = 0, a = 0, b = 0;
-            uint32_t imm = 0;       ///< Immediate (or Cond for Setcc).
+            /** Immediate (Cond for Setcc; for Generic, the issue
+             *  offset execute() times a conditional move from). */
+            uint32_t imm = 0;
             uint16_t readyOff = 0;  ///< PerInst::readyOff, compact.
             uint8_t writeReg = kScratchReg; ///< PerInst::writeReg.
         };
@@ -213,23 +215,50 @@ class FastCore
                                     const RunMemo::PerInst &pi);
     bool entryReady(const RunMemo &m) const;
 
-    /** Replay the memoized run at cycle_; returns the next flat
-     *  index (or sets halted_). */
+    /** What execute() did beyond the functional work. */
+    struct Outcome
+    {
+        uint32_t stall = 0;   ///< D-cache stall of its access.
+        bool wrote = false;   ///< Wrote dst; retire() times it.
+        bool misspec = false; ///< A speculative check fired.
+
+        /** The memo schedule still holds. */
+        bool clean() const { return !stall && !misspec; }
+    };
+
+    /** Functional work of one non-terminator instruction issued at
+     *  cycle @p issue — the one execute body of both paths. A
+     *  conditional move's write is outside the memo schedule, so it
+     *  times its own scoreboard entry from @p issue. @p policy is the
+     *  misspeculation overlay in effect: policy_ on the slow path,
+     *  Hardware in replay (its guard), which compiles the overlay out
+     *  of replayed bodies. */
+    Outcome execute(const PInst &p, uint64_t issue, MisspecPolicy policy);
+    /** Timing and accounting of the non-terminator at @p idx from its
+     *  Outcome, with cycle_ at its issue; returns the next index. */
+    uint32_t retire(uint32_t idx, const PInst &p, Outcome o,
+                    uint64_t cycle_at_fetch);
+    /** Branch/Call/Ret/Halt @p p at @p idx, fetched at
+     *  @p cycle_at_fetch and counted by the caller; returns the next
+     *  index, or sets halted_. */
+    uint32_t terminate(uint32_t idx, const PInst &p,
+                       uint64_t cycle_at_fetch);
+
+    /** Replay the memoized run at cycle_, chaining into successor
+     *  memos while their guards hold; returns the next flat index
+     *  (or sets halted_). */
     uint32_t replay(RunMemo &m);
-    /** Bulk-commit @p iters completed in-replay loop iterations
-     *  (fetches, pendingReplays, replayedRuns_). */
-    void flushIters(RunMemo &m, uint64_t iters);
+    /** Leave a replay at body instruction @p i (cycle_ still at the
+     *  run's entry): commit the first @p i instructions from the memo
+     *  (fetches, counters, sinks, fuel), then retire the diverging
+     *  one cycle-accurately. */
+    uint32_t diverge(const RunMemo &m, uint32_t i, Outcome o);
     /** Replay residency guard: valid pin (one compare) or probe and
      *  re-pin. False when some I-line is not resident. */
     bool fetchGuard(RunMemo &m);
-    /** Commit @p repeat fetch traversals of the memo's range, via the
-     *  pin when valid. */
-    void commitFetches(RunMemo &m, uint64_t repeat);
-    /** Commit the first @p k body instructions of a diverged replay
-     *  from the memo (fetches, counters, sinks, fuel). */
-    void commitPrefix(const RunMemo &m, uint32_t k);
-    /** Execute the terminator after a fully replayed body. */
-    uint32_t execTerminator(const RunMemo &m);
+    /** Commit one fetch traversal of the memo's range, via the pin
+     *  when valid. */
+    void commitFetches(RunMemo &m);
     /** One cycle-accurate slow-path instruction; returns next idx. */
     uint32_t slowStep(uint32_t idx);
 
@@ -257,14 +286,15 @@ class FastCore
     MisspecPolicy policy_ = MisspecPolicy::Hardware;
     Rng rng_{0x5eed};
 
-    /** Policy overlay for one check site; mirrors Core::shouldForce
-     *  (same draw order keeps the Random streams aligned). */
+    /** Overlay @p policy for one check site; mirrors
+     *  Core::shouldForce (same draw order keeps the Random streams
+     *  aligned). */
     bool
-    shouldForce()
+    shouldForce(MisspecPolicy policy)
     {
-        if (policy_ == MisspecPolicy::ForceFirst)
+        if (policy == MisspecPolicy::ForceFirst)
             return true;
-        if (policy_ == MisspecPolicy::Random)
+        if (policy == MisspecPolicy::Random)
             return rng_.next() % 8 == 0;
         return false;
     }
