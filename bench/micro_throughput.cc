@@ -83,12 +83,13 @@ BM_CoreThroughput(benchmark::State &state, CoreEngine engine)
     uint64_t instrs = 0;
     if (engine == CoreEngine::Fast) {
         // Pre-decode is per-program, outside the timed loop (System
-        // builds it once); the persistent core reuses its block memos
-        // across iterations, like System's compile-once/run-many.
+        // builds it once); the program's memo table and one machine
+        // serve every iteration, like System's compile-once/run-many.
         PredecodedProgram pre(cp.program);
-        FastCore core(pre, *mod);
+        FastCore code(pre);
+        FastMachine core;
         for (auto _ : state) {
-            core.reset();
+            core.bind(code, *mod);
             core.run({64});
             instrs += core.counters().instructions;
         }

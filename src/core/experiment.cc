@@ -410,7 +410,7 @@ ExperimentRunner::getOrTrain(const Workload &w,
 }
 
 RunResult
-ExperimentRunner::runCell(const ExperimentCell &cell)
+ExperimentRunner::runCell(const ExperimentCell &cell, double *run_wall)
 {
     bsAssert(cell.workload != nullptr, "experiment cell w/o workload");
     // Worker threads are owned by the support-layer pool, which cannot
@@ -463,39 +463,36 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
     std::optional<BlockMap> bmap;
     std::optional<AttributionSink> asink;
     std::optional<BlockProfilerSink> bsink;
-    RunResult out;
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-        std::lock_guard<std::mutex> lock(cached->runMu);
-        // Run-level knobs. The policy is set for every cell (a plain
-        // cell must undo a predecessor's override on the shared
-        // System); the engine sticks, so mixed-engine matrices must
-        // set it on every cell.
-        if (cell.engine)
-            cached->sys.setCoreEngine(*cell.engine);
-        cached->sys.setMisspecPolicy(cell.policy, cell.policySeed);
-        if (ledger)
-            rec.engine = coreEngineName(cached->sys.coreEngine());
-        auto input = [&w, run_seed](Module &m) {
-            w.setInput(m, run_seed);
-        };
-        if (detail) {
-            amap.emplace(cached->sys.program());
-            bmap.emplace(cached->sys.program());
-            asink.emplace(*amap);
-            bsink.emplace(*bmap);
-            RunObservers observers;
-            observers.attribution = &*asink;
-            observers.blocks = &*bsink;
-            out = cached->sys.run(input, {}, observers);
-        } else {
-            out = cached->sys.run(input);
-        }
+    // Run-level knobs travel with the run; the shared System is never
+    // reconfigured, so its cells need no lock.
+    const System &sys = cached->sys;
+    RunKnobs knobs = sys.knobs();
+    if (cell.engine)
+        knobs.engine = *cell.engine;
+    knobs.policy = cell.policy;
+    knobs.policySeed = cell.policySeed;
+    if (ledger)
+        rec.engine = coreEngineName(knobs.engine);
+    auto input = [&w, run_seed](Module &m) { w.setInput(m, run_seed); };
+    RunObservers observers;
+    if (detail) {
+        amap.emplace(sys.program());
+        bmap.emplace(sys.program());
+        asink.emplace(*amap);
+        bsink.emplace(*bmap);
+        observers.attribution = &*asink;
+        observers.blocks = &*bsink;
     }
+    // The run alone: no lock wait, and the sink maps above are built
+    // before the clock starts.
+    const auto t0 = std::chrono::steady_clock::now();
+    RunResult out = sys.run(input, {}, observers, knobs);
     const double wall_sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
+    if (run_wall)
+        *run_wall = wall_sec;
 
     MetricsRegistry &reg = MetricsRegistry::global();
     MetricsRegistry::Labels wl = {{"workload", w.name}};
@@ -592,8 +589,8 @@ std::vector<RunResult>
 ExperimentRunner::run(const std::vector<ExperimentCell> &cells)
 {
     std::vector<RunResult> results(cells.size());
-    // Per-cell wall times (measured inside the worker, so parallelism
-    // does not inflate them) feed the matrix-level ledger record's
+    // Per-cell run wall times (System::run alone, the same span as
+    // each cell's run.wall_sec) feed the matrix-level ledger record's
     // percentile fields.
     std::vector<double> walls(cells.size(), 0.0);
     std::vector<std::future<void>> futs;
@@ -635,11 +632,7 @@ ExperimentRunner::run(const std::vector<ExperimentCell> &cells)
     for (size_t i = 0; i < cells.size(); ++i) {
         futs.push_back(
             pool_.submit([this, &cells, &results, &walls, i] {
-                const auto c0 = std::chrono::steady_clock::now();
-                results[i] = runCell(cells[i]);
-                walls[i] = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - c0)
-                               .count();
+                results[i] = runCell(cells[i], &walls[i]);
             }));
     }
 
@@ -711,7 +704,7 @@ ExperimentRunner::withSystem(const Workload &w,
 {
     std::shared_ptr<CachedSystem> cached =
         getOrBuild(w, config, profile_seed);
-    std::lock_guard<std::mutex> lock(cached->runMu);
+    std::lock_guard<std::mutex> lock(cached->withMu);
     fn(cached->sys);
 }
 

@@ -15,9 +15,10 @@
  *  - A System is compile-once/run-many. The cache keys a compiled
  *    System by (workload name, FNV-1a of the source, canonicalized
  *    config, profile seed); all run seeds and all series of a binary
- *    that share that key reuse one instance, serialized by a per-entry
- *    run lock (System::run restores the global-data snapshot first,
- *    so runs are order-independent).
+ *    that share that key reuse one instance, and its cells run on
+ *    any number of workers at once (System::run is const, starts
+ *    from the pristine global images and keeps machine state per
+ *    thread, so runs are order-independent).
  *  - Results come back in submission order and are bit-identical to
  *    the serial path regardless of thread count.
  *  - Worker exceptions (fatal()/bsAssert/...) propagate to the caller
@@ -67,10 +68,10 @@ struct ExperimentCell
     uint64_t runSeed = 0;
 
     /** @name Run-level knobs
-     * Applied to the cached System for this cell's run only —
-     * deliberately absent from the cache key (one compiled System
-     * serves every engine and policy; the differential fuzzer depends
-     * on that sharing). */
+     * Passed with this cell's run only (RunKnobs), never set on the
+     * shared System — deliberately absent from the cache key (one
+     * compiled System serves every engine and policy; the
+     * differential fuzzer depends on that sharing). */
     /// @{
     /** Core engine override; unset = the System's default. */
     std::optional<CoreEngine> engine;
@@ -110,9 +111,9 @@ struct ExperimentStats
  * Runs experiment matrices over a worker pool with a keyed System
  * cache. run()/evaluate() may be called from several threads at once
  * (each call's results are call-local, the cache and stats are
- * mutex-guarded, and concurrent cells on one System serialize on its
- * run lock — the fuzz driver fans whole differentials out this way);
- * the same runner can execute any number of matrices, and the cache
+ * mutex-guarded, and cells of one System run concurrently without a
+ * lock — the fuzz driver fans whole differentials out this way); the
+ * same runner can execute any number of matrices, and the cache
  * persists across them (clearCache() drops it).
  */
 class ExperimentRunner
@@ -137,15 +138,16 @@ class ExperimentRunner
                        uint64_t profile_seed = 0, uint64_t run_seed = 0);
 
     /**
-     * Build (or fetch) the cell's System and run @p fn on it under
-     * its run lock. Lets a caller reuse the System's squeezed module
-     * directly — the differential fuzzer interprets it IR-level
-     * instead of re-running the whole squeeze pipeline a second
-     * time. @p fn may mutate global data (System::run restores the
-     * snapshot before every machine run) but must not restructure
-     * the module. Beware: a System restored from the disk artifact
-     * tier carries globals only, no IR — check module().getFunction
-     * before interpreting.
+     * Build (or fetch) the cell's System and run @p fn on it.
+     * withSystem calls on one System serialize among themselves, but
+     * not with cells, which may be running it meanwhile: @p fn may
+     * read the System, run it and copy its module, but must not
+     * change it (no setters, no writes to module()). Lets a caller
+     * reuse the System's squeezed module — the differential fuzzer
+     * interprets a clone of it IR-level instead of re-running the
+     * whole squeeze pipeline a second time. Beware: a System
+     * restored from the disk artifact tier carries globals only, no
+     * IR — check module().getFunction before interpreting.
      */
     void withSystem(const Workload &w, const SystemConfig &config,
                     uint64_t profile_seed,
@@ -202,11 +204,11 @@ class ExperimentRunner
     static std::string cellKey(const ExperimentCell &cell);
 
   private:
-    /** A cached System plus the lock serializing run() on it. */
+    /** A cached System plus the lock serializing withSystem() on it. */
     struct CachedSystem
     {
         System sys;
-        std::mutex runMu;
+        std::mutex withMu;
         /** How this instance came to exist: "compile" or "disk".
          *  The first cell served by it reports this origin in its
          *  ledger record; later ones report "memory". */
@@ -239,7 +241,9 @@ class ExperimentRunner
     std::shared_ptr<const TrainedProgram>
     getOrTrain(const Workload &w, const ExpanderOptions &expander,
                uint64_t profile_seed);
-    RunResult runCell(const ExperimentCell &cell);
+    /** @p run_wall (optional) receives the seconds System::run took. */
+    RunResult runCell(const ExperimentCell &cell,
+                      double *run_wall = nullptr);
 
     ThreadPool pool_;
     mutable std::mutex cacheMu_;

@@ -27,6 +27,21 @@ engineFromEnv()
           "\"" + v + "\"");
 }
 
+/** A globals-only Module holding @p images. */
+std::unique_ptr<Module>
+globalsModule(
+    const std::vector<artifact::SystemSnapshot::GlobalImage> &images)
+{
+    auto m = std::make_unique<Module>();
+    for (const artifact::SystemSnapshot::GlobalImage &g : images) {
+        Global *ng = m->addGlobal(g.name, g.elemBits,
+                                  static_cast<size_t>(g.elemCount));
+        ng->setAddress(g.address);
+        ng->setData(g.data);
+    }
+    return m;
+}
+
 } // namespace
 
 SystemConfig
@@ -84,8 +99,9 @@ System::System(const std::string &source, const SystemConfig &config,
 
 System::System(std::shared_ptr<const TrainedProgram> trained,
                const SystemConfig &config)
-    : config_(config), engine_(engineFromEnv())
+    : config_(config)
 {
+    knobs_.engine = engineFromEnv();
     trace::Span span("system.build", "compile");
     if (!trained->workload().empty())
         span.arg("workload", trained->workload());
@@ -110,32 +126,38 @@ System::System(std::shared_ptr<const TrainedProgram> trained,
     compiled_ = compileModule(*module_, config_.isa);
 
     globalSnapshot_.reserve(module_->globals().size());
-    for (const auto &g : module_->globals())
-        globalSnapshot_.emplace_back(g.get(), g->data());
+    for (const auto &g : module_->globals()) {
+        artifact::SystemSnapshot::GlobalImage img;
+        img.name = g->name();
+        img.elemBits = g->elemBits();
+        img.elemCount = g->elemCount();
+        img.address = g->address();
+        img.data = g->data();
+        globalSnapshot_.push_back(std::move(img));
+    }
+    finishImage();
 }
 
 System::System(const artifact::SystemSnapshot &snap,
                const SystemConfig &config)
-    : config_(config), engine_(engineFromEnv())
+    : config_(config), globalSnapshot_(snap.globals)
 {
+    knobs_.engine = engineFromEnv();
     trace::Span span("system.restore", "compile");
-    module_ = std::make_unique<Module>();
-    for (const artifact::SystemSnapshot::GlobalImage &g :
-         snap.globals) {
-        Global *ng = module_->addGlobal(
-            g.name, g.elemBits, static_cast<size_t>(g.elemCount));
-        ng->setAddress(g.address);
-        ng->setData(g.data);
-    }
+    module_ = globalsModule(globalSnapshot_);
     compiled_.program = snap.program;
     compiled_.stats = snap.backendStats;
     squeezeStats_ = snap.squeezeStats;
     expandStats_ = snap.expandStats;
     trainIrSteps_ = snap.profiledIrSteps;
+    finishImage();
+}
 
-    globalSnapshot_.reserve(module_->globals().size());
-    for (const auto &g : module_->globals())
-        globalSnapshot_.emplace_back(g.get(), g->data());
+void
+System::finishImage()
+{
+    predecoded_ = std::make_unique<PredecodedProgram>(compiled_.program);
+    fastCore_ = std::make_unique<FastCore>(*predecoded_);
 }
 
 artifact::SystemSnapshot
@@ -148,44 +170,21 @@ System::makeSnapshot(const std::string &key) const
     snap.squeezeStats = squeezeStats_;
     snap.expandStats = expandStats_;
     snap.profiledIrSteps = trainIrSteps_;
-    snap.globals.reserve(globalSnapshot_.size());
-    // The pristine post-profiling images, not the possibly
-    // run-mutated live data (run() restores from this same snapshot).
-    for (const auto &[g, bytes] : globalSnapshot_) {
-        artifact::SystemSnapshot::GlobalImage img;
-        img.name = g->name();
-        img.elemBits = g->elemBits();
-        img.elemCount = g->elemCount();
-        img.address = g->address();
-        img.data = bytes;
-        snap.globals.push_back(std::move(img));
-    }
+    snap.globals = globalSnapshot_;
     return snap;
-}
-
-void
-System::setCoreEngine(CoreEngine engine)
-{
-    if (engine == engine_)
-        return;
-    engine_ = engine;
-    // Rebuilt lazily on the next fast run; dropping the memos here
-    // mirrors Interpreter::invalidate() — no state may be carried
-    // across an engine switch.
-    fastCore_.reset();
-    predecoded_.reset();
 }
 
 RunResult
 System::run(const std::function<void(Module &)> &run_input,
-            const std::vector<uint32_t> &args)
+            const std::vector<uint32_t> &args) const
 {
     return run(run_input, args, nullptr);
 }
 
 RunResult
 System::run(const std::function<void(Module &)> &run_input,
-            const std::vector<uint32_t> &args, AttributionSink *attr)
+            const std::vector<uint32_t> &args,
+            AttributionSink *attr) const
 {
     RunObservers obs;
     obs.attribution = attr;
@@ -195,13 +194,20 @@ System::run(const std::function<void(Module &)> &run_input,
 RunResult
 System::run(const std::function<void(Module &)> &run_input,
             const std::vector<uint32_t> &args,
-            const RunObservers &observers)
+            const RunObservers &observers) const
+{
+    return run(run_input, args, observers, knobs_);
+}
+
+RunResult
+System::run(const std::function<void(Module &)> &run_input,
+            const std::vector<uint32_t> &args,
+            const RunObservers &observers, const RunKnobs &knobs) const
 {
     trace::Span span("system.run", "execute");
-    for (auto &[g, bytes] : globalSnapshot_)
-        g->setData(bytes);
+    const std::unique_ptr<Module> globals = globalsModule(globalSnapshot_);
     if (run_input)
-        run_input(*module_);
+        run_input(*globals);
 
     // Any traced run gets counter tracks alongside its spans unless
     // the caller brought its own emitter.
@@ -217,7 +223,7 @@ System::run(const std::function<void(Module &)> &run_input,
         core.setAttribution(observers.attribution);
         core.setBlockProfiler(observers.blocks);
         core.setCounterTracks(tracks);
-        core.setMisspecPolicy(misspecPolicy_, misspecSeed_);
+        core.setMisspecPolicy(knobs.policy, knobs.policySeed);
         out.returnValue = core.run(args);
         out.outputChecksum = core.outputChecksum();
         out.counters = core.counters();
@@ -228,21 +234,15 @@ System::run(const std::function<void(Module &)> &run_input,
         out.dram = mem.dram();
         out.energy = computeEnergy(out.counters, mem, config_.energy);
     };
-    if (engine_ == CoreEngine::Fast) {
-        if (!fastCore_) {
-            predecoded_ = std::make_unique<PredecodedProgram>(
-                compiled_.program);
-            fastCore_ =
-                std::make_unique<FastCore>(*predecoded_, *module_);
-        } else {
-            // Fresh run state (the constructor's reset covered the
-            // first run); block memos survive — they depend only on
-            // the immutable pre-decoded code.
-            fastCore_->reset();
-        }
-        run_on(*fastCore_);
+    if (knobs.engine == CoreEngine::Fast) {
+        // One machine per thread, rebound to this System every run:
+        // the memos live in the shared FastCore, so a warm machine
+        // brings nothing of its previous program along.
+        static thread_local FastMachine machine;
+        machine.bind(*fastCore_, *globals);
+        run_on(machine);
     } else {
-        Core core(compiled_.program, *module_);
+        Core core(compiled_.program, *globals);
         run_on(core);
     }
     if (config_.dts) {

@@ -37,8 +37,9 @@ class CounterTrackEmitter;
  *  bit-identical observables (ctest-enforced by
  *  tests/uarch/core_engine_diff_test.cc); Fast is an order of
  *  magnitude quicker on the no-miss hot path. Selected by the
- *  BITSPEC_CORE_ENGINE env knob ("fast" default, "legacy"), or
- *  programmatically via System::setCoreEngine. */
+ *  BITSPEC_CORE_ENGINE env knob ("fast" default, "legacy"),
+ *  programmatically via System::setCoreEngine, or per run through
+ *  RunKnobs. */
 enum class CoreEngine
 {
     Legacy, ///< Cycle-accurate reference Core (the oracle).
@@ -55,6 +56,17 @@ struct RunObservers
     AttributionSink *attribution = nullptr;
     BlockProfilerSink *blocks = nullptr;
     CounterTrackEmitter *tracks = nullptr;
+};
+
+/** How one run executes: the engine and the misspeculation overlay
+ *  (see Core::setMisspecPolicy; the seed re-seeds the core's RNG, so
+ *  Random runs are independent of run ordering). Passed per run, so
+ *  concurrent runs of one System may differ. */
+struct RunKnobs
+{
+    CoreEngine engine = CoreEngine::Fast;
+    MisspecPolicy policy = MisspecPolicy::Hardware;
+    uint64_t policySeed = 0x5eed;
 };
 
 /** One experiment configuration (paper §A.7 YAML equivalent). */
@@ -104,7 +116,13 @@ struct RunResult
     RunTelemetry telemetry() const { return {counters, l1i, l1d, l2, dram}; }
 };
 
-/** A compiled system instance, reusable across inputs. */
+/**
+ * A compiled system instance, reusable across inputs: an immutable
+ * image (linked program, pre-decoded code with its shared memo table,
+ * pristine global images, compile stats). run() is const and keeps
+ * all machine state per calling thread, so any number of threads may
+ * run one System at once; only the setters below need a single owner.
+ */
 class System
 {
   public:
@@ -142,59 +160,74 @@ class System
     System(const artifact::SystemSnapshot &snap,
            const SystemConfig &config);
 
+    /** The pre-decode table refers to compiled_, so a System stays
+     *  where it was built. */
+    System(const System &) = delete;
+    System &operator=(const System &) = delete;
+
     /** Capture this System for the artifact store. @p key is the
-     *  canonical systemKey embedded for collision detection. Uses the
-     *  pristine post-profiling global snapshot, so capturing after
-     *  run()s is safe. */
+     *  canonical systemKey embedded for collision detection. */
     artifact::SystemSnapshot makeSnapshot(const std::string &key) const;
 
     /**
-     * Run with fresh input: global data is first restored to its
-     * post-profiling snapshot (so runs are independent — required for
-     * the experiment engine's compile-once/run-many reuse), then
-     * @p run_input mutates globals and the core executes from _start.
+     * Run with fresh input under the System's default knobs: a
+     * globals-only Module is built from the post-profiling global
+     * images (so runs are independent — required for the experiment
+     * engine's compile-once/run-many reuse), @p run_input mutates it,
+     * and the core executes from _start on the calling thread's
+     * machine.
      */
     RunResult run(const std::function<void(Module &)> &run_input = {},
-                  const std::vector<uint32_t> &args = {});
+                  const std::vector<uint32_t> &args = {}) const;
 
     /** As above, with a misspeculation-attribution recorder attached
      *  to the core for this run (nullptr = no attribution). */
     RunResult run(const std::function<void(Module &)> &run_input,
                   const std::vector<uint32_t> &args,
-                  AttributionSink *attr);
+                  AttributionSink *attr) const;
 
     /** As above, with any combination of observers attached to the
      *  core for this run. */
     RunResult run(const std::function<void(Module &)> &run_input,
                   const std::vector<uint32_t> &args,
-                  const RunObservers &observers);
+                  const RunObservers &observers) const;
 
+    /** As above, under @p knobs instead of the System's defaults. */
+    RunResult run(const std::function<void(Module &)> &run_input,
+                  const std::vector<uint32_t> &args,
+                  const RunObservers &observers,
+                  const RunKnobs &knobs) const;
+
+    /** The squeezed IR (globals only for a System restored from a
+     *  snapshot). Runs never read it. */
     Module &module() { return *module_; }
     const MachProgram &program() const { return compiled_.program; }
     const SystemConfig &config() const { return config_; }
     const SqueezeStats &squeezeStats() const { return squeezeStats_; }
 
-    /** Override the BITSPEC_CORE_ENGINE selection for later runs.
-     *  Switching drops the cached fast-engine state (pre-decode table
-     *  and block memos are rebuilt lazily on the next fast run). */
-    void setCoreEngine(CoreEngine engine);
-    CoreEngine coreEngine() const { return engine_; }
+    /** @name Default knobs
+     * What run() uses when no RunKnobs are passed. Set by a single
+     * owner between runs, never while another thread runs the System.
+     */
+    /// @{
+    /** Override the BITSPEC_CORE_ENGINE selection for later runs. */
+    void setCoreEngine(CoreEngine engine) { knobs_.engine = engine; }
+    CoreEngine coreEngine() const { return knobs_.engine; }
 
-    /** Misspeculation policy applied to the core on every later run
-     *  (see Core::setMisspecPolicy). Each run re-seeds the core's RNG
-     *  with @p seed, so Random runs are independent of run ordering.
-     *  Machine cores only; the training run always trains under
-     *  Hardware semantics. */
+    /** Misspeculation policy of later runs. Machine cores only; the
+     *  training run always trains under Hardware semantics. */
     void
     setMisspecPolicy(MisspecPolicy p, uint64_t seed = 0x5eed)
     {
-        misspecPolicy_ = p;
-        misspecSeed_ = seed;
+        knobs_.policy = p;
+        knobs_.policySeed = seed;
     }
-    MisspecPolicy misspecPolicy() const { return misspecPolicy_; }
+    MisspecPolicy misspecPolicy() const { return knobs_.policy; }
+    const RunKnobs &knobs() const { return knobs_; }
+    /// @}
 
-    /** The persistent fast engine, or nullptr before the first fast
-     *  run (observability/tests: memo counts, replay stats). */
+    /** The fast engine's shared side (observability/tests): memo
+     *  count, and replay stats summed over every halted fast run. */
     const FastCore *fastCore() const { return fastCore_.get(); }
 
     /** Dynamic IR instructions of the training run (Fig. 3's
@@ -202,6 +235,10 @@ class System
     uint64_t profiledIrInstructions() const { return trainIrSteps_; }
 
   private:
+    /** Pre-decode the linked program and create its memo table:
+     *  the last step of every constructor. */
+    void finishImage();
+
     SystemConfig config_;
     /** This System's own copy of the trained module, squeezed. */
     std::unique_ptr<Module> module_;
@@ -209,22 +246,15 @@ class System
     SqueezeStats squeezeStats_;
     ExpandStats expandStats_;
     uint64_t trainIrSteps_ = 0;
-    CoreEngine engine_ = CoreEngine::Fast;
-    MisspecPolicy misspecPolicy_ = MisspecPolicy::Hardware;
-    uint64_t misspecSeed_ = 0x5eed;
-    /** Fast-engine state, built lazily on the first fast run and
-     *  reused across runs: the pre-decode table is immutable, and the
-     *  FastCore's block memos depend only on it — the compiled
-     *  program never changes after construction. Any future
-     *  re-squeeze/re-link of compiled_ must reset these (see
-     *  FastCore::invalidateMemos). */
+    RunKnobs knobs_;
+    /** The compiled program never changes after construction, so its
+     *  pre-decode table and the memos built on it serve every run. */
     std::unique_ptr<PredecodedProgram> predecoded_;
     std::unique_ptr<FastCore> fastCore_;
-    /** Global byte images captured at the end of construction;
-     *  restored before every run so run N cannot leak state (e.g.
-     *  longer previous inputs) into run N+1. */
-    std::vector<std::pair<Global *, std::vector<uint8_t>>>
-        globalSnapshot_;
+    /** Post-profiling global images: every run starts from a
+     *  globals-only Module built from them, so run N cannot leak state
+     *  (e.g. longer previous inputs) into run N+1. */
+    std::vector<artifact::SystemSnapshot::GlobalImage> globalSnapshot_;
 };
 
 } // namespace bitspec

@@ -217,14 +217,22 @@ class LexerImpl
         if (std::isdigit(c)) {
             t.kind = Tok::IntLit;
             uint64_t v = 0;
+            // Accumulate one digit, diagnosing 64-bit overflow at the
+            // literal's start instead of wrapping.
+            auto push = [&](unsigned base, unsigned digit) {
+                if (__builtin_mul_overflow(v, base, &v) ||
+                    __builtin_add_overflow(v, digit, &v))
+                    throw CompileError("lex", t.line, t.col,
+                                       "integer literal does not fit in "
+                                       "64 bits");
+            };
             if (c == '0' && (peek() == 'x' || peek() == 'X')) {
                 advance();
                 bool any = false;
                 while (std::isxdigit(peek())) {
                     char d = advance();
-                    v = v * 16 +
-                        (std::isdigit(d) ? d - '0'
-                                         : std::tolower(d) - 'a' + 10);
+                    push(16, std::isdigit(d) ? d - '0'
+                                             : std::tolower(d) - 'a' + 10);
                     any = true;
                 }
                 if (!any)
@@ -232,7 +240,7 @@ class LexerImpl
             } else {
                 v = static_cast<uint64_t>(c - '0');
                 while (std::isdigit(peek()))
-                    v = v * 10 + static_cast<uint64_t>(advance() - '0');
+                    push(10, static_cast<unsigned>(advance() - '0'));
             }
             // Optional u/ul/ull suffixes are accepted and ignored.
             while (peek() == 'u' || peek() == 'U' || peek() == 'l' ||

@@ -3,6 +3,7 @@
 #include "frontend/irgen.h"
 #include "fuzz/gen.h"
 #include "interp/interpreter.h"
+#include "ir/clone.h"
 #include "support/error.h"
 #include "support/str.h"
 #include "transform/expander.h"
@@ -78,11 +79,12 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
     out.refChecksum = want_sum;
 
     // ---- Decoded interpreter on the squeezed IR, all policies. ----
-    // Runs on the System's own module (built once by the runner and
-    // shared with the machine cells below), so the squeeze pipeline
-    // executes once per program. A System restored from the disk
-    // artifact tier has no IR; fall back to rebuilding the squeezed
-    // module locally (identical passes, same train/run protocol).
+    // Runs on a clone of the System's module (built once by the
+    // runner and shared with the machine cells below, which may be
+    // running it meanwhile), so the squeeze pipeline executes once per
+    // program. A System restored from the disk artifact tier has no
+    // IR; fall back to rebuilding the squeezed module locally
+    // (identical passes, same train/run protocol).
     auto interpSweep = [&](Module &mod) {
         setFuzzInputs(mod, opts.runSeed);
         Interpreter it(mod);
@@ -109,14 +111,14 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
         }
     };
     try {
-        bool swept = false;
+        std::unique_ptr<Module> squeezed;
         runner.withSystem(w, cfg, opts.profileSeed, [&](System &sys) {
-            if (sys.module().getFunction("main") != nullptr) {
-                interpSweep(sys.module());
-                swept = true;
-            }
+            if (sys.module().getFunction("main") != nullptr)
+                squeezed = cloneModule(sys.module());
         });
-        if (!swept) {
+        if (squeezed) {
+            interpSweep(*squeezed);
+        } else {
             auto mod = compileSource(w.source);
             setFuzzInputs(*mod, opts.profileSeed);
             expandModule(*mod, cfg.expander);

@@ -79,8 +79,6 @@ cloneModule(const Module &src, CloneMap *map)
     // point forward.
     std::unordered_map<const Function *, Function *> funcs;
     for (const auto &f : src.functions()) {
-        bsAssert(f->specRegions().empty(),
-                 "cloneModule: speculative regions are not cloned");
         std::vector<Type> params;
         for (size_t i = 0; i < f->numArgs(); ++i)
             params.push_back(f->arg(i)->type());
@@ -132,6 +130,18 @@ cloneModule(const Module &src, CloneMap *map)
                     }
                 }
             }
+        }
+
+        // A squeezed function's regions, remapped onto the copy.
+        for (const auto &sr : f->specRegions()) {
+            SpecRegion *nr = nf->addSpecRegion();
+            *nr = *sr;
+            for (BasicBlock *&bb : nr->blocks)
+                bb = cm.get(bb);
+            nr->handler = cm.get(nr->handler);
+            for (const Instruction *&check : nr->checks)
+                check = static_cast<const Instruction *>(
+                    cm.get(const_cast<Instruction *>(check)));
         }
 
         if (map) {

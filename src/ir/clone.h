@@ -52,9 +52,9 @@ CloneMap cloneBlocks(const std::vector<BasicBlock *> &src_blocks,
 std::unique_ptr<Instruction> cloneInstruction(const Instruction *inst);
 
 /**
- * Deep-copy @p src, which must not be squeezed yet (no speculative
- * regions), into a fresh Module: globals (data and addresses) and
- * functions (blocks, instructions, dense ids, block-name state).
+ * Deep-copy @p src into a fresh Module: globals (data and addresses)
+ * and functions (blocks, instructions, dense ids, block-name state,
+ * speculative regions).
  * Operands are remapped into the copy's own constant and GlobalRef
  * pools, callees to the copied functions. The copy prints identically
  * and compiles to the same bytes; @p map (optional) receives every

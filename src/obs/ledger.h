@@ -146,7 +146,9 @@ struct LedgerRecord
 };
 
 /** Fill the run-observable telemetry fields (counters.*, cache.*,
- *  dram.*, energy.*, run.*) from one finished run. */
+ *  dram.*, energy.*, run.*) from one finished run. @p wall_sec
+ *  (run.wall_sec) is the time System::run took: the run alone, with
+ *  no cache, build or lock wait. */
 void fillRunTelemetry(LedgerRecord &rec, const RunTelemetry &hw,
                       const EnergyBreakdown &energy, double total_pj,
                       double epi_pj, double mean_v,

@@ -102,7 +102,7 @@ class Core
     /** Policy overlay for one check site: true forces a redirect even
      *  though the value fits. Keep call sites short-circuited after
      *  the architectural condition so Random consumes one RNG draw
-     *  per non-firing check — FastCore::slowStep mirrors the same
+     *  per non-firing check — FastMachine::slowStep mirrors the same
      *  order, keeping the two streams aligned for counter equality. */
     bool
     shouldForce()

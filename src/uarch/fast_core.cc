@@ -78,19 +78,20 @@ isTerminator(PKind k)
 
 } // namespace
 
-FastCore::FastCore(const PredecodedProgram &pre, const Module &m)
-    : pre_(pre), prog_(pre.prog()), module_(m)
-{
-    dataMem_.resize(Core::kMemBytes, 0);
-    memoIdx_.assign(pre_.size(), -1);
-    reset();
-}
+FastCore::FastCore(const PredecodedProgram &pre)
+    : pre_(pre), bySite_(pre.size()), byId_(pre.size())
+{}
+
+FastMachine::FastMachine() : dataMem_(Core::kMemBytes, 0) {}
 
 void
-FastCore::reset()
+FastMachine::bind(FastCore &code, const Module &globals)
 {
+    code_ = &code;
+    pre_ = &code.predecoded();
+    prog_ = &pre_->prog();
     std::fill(dataMem_.begin(), dataMem_.end(), 0);
-    for (const auto &g : module_.globals()) {
+    for (const auto &g : globals.globals()) {
         bsAssert(g->address() + g->sizeBytes() <= dataMem_.size(),
                  "global outside data memory");
         std::copy(g->data().begin(), g->data().end(),
@@ -106,27 +107,20 @@ FastCore::reset()
     output_.clear();
     outputHash_ = Core::kFnvOffset;
     mem_ = MemoryHierarchy{};
-    // Memos survive: they depend only on the immutable pre-decoded
-    // code, not on run state. Pending replay counts belong to the run
-    // being discarded (nonzero only after a fatal), so drop them.
-    for (RunMemo &m : memos_) {
-        m.pendingReplays = 0;
-        // The hierarchy was rebuilt: line slots and the fill
-        // generation restart, so recorded pins no longer prove
-        // anything.
-        m.pin = MemoryHierarchy::FetchPin{};
-    }
-}
-
-void
-FastCore::invalidateMemos()
-{
-    memoIdx_.assign(pre_.size(), -1);
-    memos_.clear();
+    fuel_ = Core::kDefaultFuel;
+    attr_ = nullptr;
+    prof_ = nullptr;
+    tracks_ = nullptr;
+    setMisspecPolicy(MisspecPolicy::Hardware);
+    // The hierarchy was rebuilt: line slots and the fill generation
+    // restart, so no recorded pin proves anything any more.
+    memoState_.assign(code.memoCount(), MemoState{});
+    replayedRuns_ = 0;
+    slowInsts_ = 0;
 }
 
 bool
-FastCore::condHolds(Cond c) const
+FastMachine::condHolds(Cond c) const
 {
     switch (c) {
       case Cond::AL: return true;
@@ -145,7 +139,7 @@ FastCore::condHolds(Cond c) const
 }
 
 uint32_t
-FastCore::loadData(uint32_t addr, unsigned bytes)
+FastMachine::loadData(uint32_t addr, unsigned bytes)
 {
     if (static_cast<uint64_t>(addr) + bytes > dataMem_.size())
         fatal(strFormat("machine load out of bounds at 0x%x", addr));
@@ -156,7 +150,7 @@ FastCore::loadData(uint32_t addr, unsigned bytes)
 }
 
 void
-FastCore::storeData(uint32_t addr, uint32_t value, unsigned bytes)
+FastMachine::storeData(uint32_t addr, uint32_t value, unsigned bytes)
 {
     if (static_cast<uint64_t>(addr) + bytes > dataMem_.size())
         fatal(strFormat("machine store out of bounds at 0x%x", addr));
@@ -165,7 +159,7 @@ FastCore::storeData(uint32_t addr, uint32_t value, unsigned bytes)
 }
 
 void
-FastCore::setFlagsSub(uint64_t a, uint64_t b, unsigned bits)
+FastMachine::setFlagsSub(uint64_t a, uint64_t b, unsigned bits)
 {
     uint64_t mask = lowMask(bits);
     uint64_t r = (a - b) & mask;
@@ -179,7 +173,7 @@ FastCore::setFlagsSub(uint64_t a, uint64_t b, unsigned bits)
 }
 
 void
-FastCore::emitOut(uint64_t v)
+FastMachine::emitOut(uint64_t v)
 {
     output_.push_back(v);
     for (unsigned b = 0; b < 8; ++b) {
@@ -189,13 +183,13 @@ FastCore::emitOut(uint64_t v)
 }
 
 void
-FastCore::applyContrib(const CounterContrib &c)
+FastMachine::applyContrib(const CounterContrib &c)
 {
     addContrib(counters_, c);
 }
 
 void
-FastCore::applyDstWrite(uint8_t dst_write)
+FastMachine::applyDstWrite(uint8_t dst_write)
 {
     if (dst_write == 1)
         ++counters_.rfWrite32;
@@ -204,18 +198,21 @@ FastCore::applyDstWrite(uint8_t dst_write)
 }
 
 void
-FastCore::finish(uint64_t final_cycle)
+FastMachine::finish(uint64_t final_cycle)
 {
     // Fold the deferred clean-replay deltas: each memo's counter sums
     // enter once, multiplied by how often it replayed this run.
-    for (RunMemo &m : memos_)
-        if (m.pendingReplays) {
-            addScaledDelta(counters_, m.delta, m.pendingReplays);
-            m.pendingReplays = 0;
+    for (uint32_t id = 0; id < memoState_.size(); ++id)
+        if (uint64_t &n = memoState_[id].pendingReplays) {
+            addScaledDelta(counters_, code_->memoById(id).delta, n);
+            n = 0;
         }
     // Provenance-tag counts are folded live (CounterContrib), so only
     // the cycle assignment of the legacy finish() remains.
     counters_.cycles = final_cycle;
+    code_->replayedRuns_.fetch_add(replayedRuns_,
+                                   std::memory_order_relaxed);
+    code_->slowInsts_.fetch_add(slowInsts_, std::memory_order_relaxed);
 }
 
 FastCore::RunMemo
@@ -300,8 +297,8 @@ FastCore::buildMemo(uint32_t start) const
     m.bodyCycles = rel;
     m.maxReadyOff = maxReadyOff;
     m.fuelCost = m.len + 1;
-    m.fetchFirst = prog_.addrOf(start);
-    m.fetchLast = prog_.addrOf(i);
+    m.fetchFirst = pre_.prog().addrOf(start);
+    m.fetchLast = pre_.prog().addrOf(i);
     for (uint32_t j = 0; j < m.len; ++j) {
         uint64_t next_fetch =
             j + 1 < m.len ? m.per[j + 1].cycBefore : m.bodyCycles;
@@ -479,20 +476,26 @@ FastCore::translateOp(const PInst &p, const RunMemo::PerInst &pi)
     return r;
 }
 
-FastCore::RunMemo &
+const FastCore::RunMemo &
 FastCore::memoAt(uint32_t idx)
 {
-    int32_t mi = memoIdx_[idx];
-    if (mi < 0) {
-        memos_.push_back(buildMemo(idx));
-        mi = static_cast<int32_t>(memos_.size()) - 1;
-        memoIdx_[idx] = mi;
-    }
-    return memos_[static_cast<size_t>(mi)];
+    if (const RunMemo *m = memoIfBuilt(idx))
+        return *m;
+    RunMemo built = buildMemo(idx);
+    std::lock_guard<std::mutex> lock(publishMu_);
+    // Another run may have published this site while we built it.
+    if (const RunMemo *m = bySite_[idx].load(std::memory_order_relaxed))
+        return *m;
+    built.id = static_cast<uint32_t>(memos_.size());
+    const RunMemo &m = memos_.emplace_back(std::move(built));
+    byId_[m.id].store(&m, std::memory_order_release);
+    memoCount_.store(memos_.size(), std::memory_order_release);
+    bySite_[idx].store(&m, std::memory_order_release);
+    return m;
 }
 
 bool
-FastCore::entryReady(const RunMemo &m) const
+FastMachine::entryReady(const RunMemo &m) const
 {
     if (maxReady_ <= cycle_)
         return true;
@@ -503,30 +506,35 @@ FastCore::entryReady(const RunMemo &m) const
 }
 
 bool
-FastCore::fetchGuard(RunMemo &m)
+FastMachine::fetchGuard(const RunMemo &m)
 {
-    if (m.pin.cnt && m.pin.gen == mem_.l1iFillGen())
+    // Memos published after bind() (by this run or a concurrent one)
+    // have ids past the state this run has seen so far.
+    if (m.id >= memoState_.size())
+        memoState_.resize(m.id + 1);
+    MemoryHierarchy::FetchPin &pin = memoState_[m.id].pin;
+    if (pin.cnt && pin.gen == mem_.l1iFillGen())
         return true;
     if (!mem_.fetchRangeResident(m.fetchFirst, m.fetchLast))
         return false;
-    mem_.fetchRangePin(m.fetchFirst, m.fetchLast, m.pin);
+    mem_.fetchRangePin(m.fetchFirst, m.fetchLast, pin);
     return true;
 }
 
 void
-FastCore::commitFetches(RunMemo &m)
+FastMachine::commitFetches(const RunMemo &m, const MemoState &s)
 {
     // No I-fill can intervene between the guard and this commit (the
     // body performs only D-side accesses), but re-checking is one
     // compare and keeps the pin self-validating.
-    if (m.pin.cnt && m.pin.gen == mem_.l1iFillGen())
-        mem_.fetchCommitPinned(m.pin, 1);
+    if (s.pin.cnt && s.pin.gen == mem_.l1iFillGen())
+        mem_.fetchCommitPinned(s.pin, 1);
     else
         mem_.fetchRangeCommit(m.fetchFirst, m.fetchLast);
 }
 
-[[gnu::always_inline]] inline FastCore::Outcome
-FastCore::execute(const PInst &p, uint64_t issue, MisspecPolicy policy)
+[[gnu::always_inline]] inline FastMachine::Outcome
+FastMachine::execute(const PInst &p, uint64_t issue, MisspecPolicy policy)
 {
     uint32_t *regs = regs_;
     Outcome o;
@@ -733,7 +741,7 @@ FastCore::execute(const PInst &p, uint64_t issue, MisspecPolicy policy)
 }
 
 [[gnu::always_inline]] inline uint32_t
-FastCore::retire(uint32_t idx, const PInst &p, Outcome o,
+FastMachine::retire(uint32_t idx, const PInst &p, Outcome o,
                  uint64_t cycle_at_fetch)
 {
     uint32_t next = idx + 1;
@@ -766,7 +774,7 @@ FastCore::retire(uint32_t idx, const PInst &p, Outcome o,
 }
 
 [[gnu::always_inline]] inline uint32_t
-FastCore::terminate(uint32_t idx, const PInst &p,
+FastMachine::terminate(uint32_t idx, const PInst &p,
                     uint64_t cycle_at_fetch)
 {
     uint32_t next = idx + 1;
@@ -782,14 +790,14 @@ FastCore::terminate(uint32_t idx, const PInst &p,
       case PKind::Call:
         // Like the legacy BL: a raw lr write, no rf event, no
         // scoreboard update.
-        regs_[kRegLR] = prog_.addrOf(idx + 1);
+        regs_[kRegLR] = prog_->addrOf(idx + 1);
         next = p.target;
         cycle_ += kBranchPenalty;
         break;
       case PKind::Ret:
         cycle_ += kBranchPenalty;
         halt = regs_[kRegLR] == MachProgram::kHaltAddr;
-        next = prog_.indexOf(regs_[kRegLR]);
+        next = prog_->indexOf(regs_[kRegLR]);
         break;
       case PKind::Halt:
         halt = true;
@@ -814,13 +822,13 @@ FastCore::terminate(uint32_t idx, const PInst &p,
 }
 
 uint32_t
-FastCore::replay(RunMemo &m0)
+FastMachine::replay(const RunMemo &m0)
 {
-    RunMemo *mp = &m0; // Re-pointed when block chaining continues.
+    const RunMemo *mp = &m0; // Re-pointed when block chaining continues.
     uint32_t *regs = regs_;
     for (;;) {
         const uint64_t entry = cycle_;
-        const PInst *insts = pre_.insts().data() + mp->start;
+        const PInst *insts = pre_->insts().data() + mp->start;
         for (uint32_t i = 0; i < mp->len; ++i) {
             const RunMemo::ROp &r = mp->ops[i];
             switch (r.op) {
@@ -965,11 +973,12 @@ FastCore::replay(RunMemo &m0)
         // Clean body: commit it from the memo, then retire the
         // terminator. Counter deltas (body + static terminator parts)
         // are deferred — one pendingReplays increment here,
-        // multiplied out at finish().
+        // multiplied out at finish(). fetchGuard() sized memoState_.
         cycle_ = entry + mp->bodyCycles;
         maxReady_ = std::max(maxReady_, entry + mp->maxReadyOff);
-        commitFetches(*mp);
-        ++mp->pendingReplays;
+        MemoState &state = memoState_[mp->id];
+        commitFetches(*mp, state);
+        ++state.pendingReplays;
         ++replayedRuns_;
         executed_ += mp->fuelCost;
         if (attr_)
@@ -988,18 +997,18 @@ FastCore::replay(RunMemo &m0)
         // here — no dispatcher round trip. These are run()'s guards
         // (tracks_ is null and the policy Hardware whenever replay
         // runs), so the path taken and every sink feed are unchanged.
-        if (halted_ || next >= memoIdx_.size() || memoIdx_[next] < 0)
+        if (halted_ || next >= pre_->size())
             return next;
-        RunMemo &n = memos_[static_cast<size_t>(memoIdx_[next])];
-        if (!n.eligible || executed_ + n.fuelCost > fuel_ ||
-            !entryReady(n) || !fetchGuard(n))
+        const RunMemo *n = code_->memoIfBuilt(next);
+        if (!n || !n->eligible || executed_ + n->fuelCost > fuel_ ||
+            !entryReady(*n) || !fetchGuard(*n))
             return next;
-        mp = &n;
+        mp = n;
     }
 }
 
 uint32_t
-FastCore::diverge(const RunMemo &m, uint32_t i, Outcome o)
+FastMachine::diverge(const RunMemo &m, uint32_t i, Outcome o)
 {
     // The i body instructions retired plus the diverging one were all
     // fetched; their lines are resident (entry guard), so the fetch
@@ -1008,8 +1017,8 @@ FastCore::diverge(const RunMemo &m, uint32_t i, Outcome o)
     // legacy hierarchy state exactly.
     const uint64_t entry = cycle_;
     const uint32_t idx = m.start + i;
-    mem_.fetchRangeCommit(m.fetchFirst, prog_.addrOf(idx));
-    const PInst *insts = pre_.insts().data() + m.start;
+    mem_.fetchRangeCommit(m.fetchFirst, prog_->addrOf(idx));
+    const PInst *insts = pre_->insts().data() + m.start;
     for (uint32_t j = 0; j < i; ++j) {
         applyContrib(insts[j].contrib);
         applyDstWrite(insts[j].dstWrite);
@@ -1036,15 +1045,15 @@ FastCore::diverge(const RunMemo &m, uint32_t i, Outcome o)
 }
 
 uint32_t
-FastCore::slowStep(uint32_t idx)
+FastMachine::slowStep(uint32_t idx)
 {
     ++slowInsts_;
     if (++executed_ > fuel_)
         fatal("machine execution out of fuel (infinite loop?)");
 
-    const PInst &p = pre_.insts()[idx];
+    const PInst &p = pre_->insts()[idx];
     const uint64_t cycle_at_fetch = cycle_;
-    cycle_ += 1 + mem_.fetch(prog_.addrOf(idx));
+    cycle_ += 1 + mem_.fetch(prog_->addrOf(idx));
     ++counters_.instructions;
     applyContrib(p.contrib);
 
@@ -1060,7 +1069,7 @@ FastCore::slowStep(uint32_t idx)
 }
 
 uint32_t
-FastCore::run(const std::vector<uint32_t> &args)
+FastMachine::run(const std::vector<uint32_t> &args)
 {
     trace::Span span("core.run", "execute");
     span.arg("engine", "fast");
@@ -1073,23 +1082,23 @@ FastCore::run(const std::vector<uint32_t> &args)
     executed_ = 0;
     halted_ = false;
     retVal_ = 0;
-    const uint32_t size = static_cast<uint32_t>(pre_.size());
+    const uint32_t size = static_cast<uint32_t>(pre_->size());
+    // A counter-track emitter samples at per-retire granularity; bulk
+    // replay would shift its window boundaries, so tracing runs stay
+    // on the cycle-accurate path. Non-Hardware misspec policies
+    // likewise bypass replay: a memo bakes in that no check in the
+    // body fired. Such runs build no memos either.
+    const bool replayable =
+        !tracks_ && policy_ == MisspecPolicy::Hardware;
 
     uint32_t idx = 0;
     for (;;) {
         if (idx >= size)
             fatal(strFormat("PC out of code range: index %u", idx));
-        RunMemo &m = memoAt(idx);
-        // A counter-track emitter samples at per-retire granularity;
-        // bulk replay would shift its window boundaries, so tracing
-        // runs stay on the cycle-accurate path (tracks_ test below).
-        // Non-Hardware misspec policies likewise bypass replay: a
-        // memo bakes in that no check in the body fired.
-        if (m.eligible && !tracks_ &&
-            policy_ == MisspecPolicy::Hardware &&
-            executed_ + m.fuelCost <= fuel_ && entryReady(m) &&
-            fetchGuard(m)) {
-            idx = replay(m);
+        const RunMemo *m = replayable ? &code_->memoAt(idx) : nullptr;
+        if (m && m->eligible && executed_ + m->fuelCost <= fuel_ &&
+            entryReady(*m) && fetchGuard(*m)) {
+            idx = replay(*m);
         } else {
             idx = slowStep(idx);
         }

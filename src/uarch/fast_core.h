@@ -30,15 +30,21 @@
  *    clean body ends in the same terminate() and may chain straight
  *    into the successor's memo.
  *
- * Memos depend only on code geometry, so they live per FastCore and
- * survive across runs; invalidateMemos() drops them (the analogue of
- * Interpreter::invalidate() for re-squeezed programs).
+ * The engine is split in two. A FastCore is one program's immutable
+ * side: the pre-decoded code and its memo table, which depends only
+ * on code geometry, so every run of the program shares it. A
+ * FastMachine is the state of one run (memory, registers, caches,
+ * counters) and is bound to a FastCore per run; concurrent runs of
+ * one program each use their own machine and need no lock.
  */
 
 #ifndef BITSPEC_UARCH_FAST_CORE_H_
 #define BITSPEC_UARCH_FAST_CORE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
+#include <mutex>
 #include <vector>
 
 #include "ir/module.h"
@@ -54,9 +60,13 @@ class AttributionSink;
 class BlockProfilerSink;
 class CounterTrackEmitter;
 
-/** Executes pre-decoded EMB32 programs; same observable contract as
- *  Core (the differential oracle — see tests/uarch/
- *  core_engine_diff_test.cc). */
+/**
+ * The fast engine of one program: its pre-decoded code and the memo
+ * table every run of it shares, plus cumulative counts. Memos are
+ * built lazily and published once; after publication a RunMemo never
+ * changes, so any number of FastMachines (one per thread) may run the
+ * same FastCore at once.
+ */
 class FastCore
 {
   public:
@@ -69,77 +79,38 @@ class FastCore
      *  the store is unconditional. Never read. */
     static constexpr uint32_t kScratchReg = 16;
 
-    /** @p pre (and the MachProgram it wraps) and @p m must outlive
-     *  the core. */
-    FastCore(const PredecodedProgram &pre, const Module &m);
+    /** @p pre (and the MachProgram it wraps) must outlive the core. */
+    explicit FastCore(const PredecodedProgram &pre);
 
-    /** Reload globals, clear state and counters. */
-    void reset();
+    const PredecodedProgram &predecoded() const { return pre_; }
 
-    /** Run from _start with up to four @p args in r0..r3; returns r0
-     *  at HALT. */
-    uint32_t run(const std::vector<uint32_t> &args = {});
-
-    /** Valid after run() returns. After run() raises a FatalError
-     *  (division by zero, out-of-bounds access, bad PC, fuel) the
-     *  counters, memory stats and output are undefined until reset():
-     *  a trap leaves deferred replay counts unfolded, and nothing
-     *  reads the counters of a trapped run. */
-    const ActivityCounters &counters() const { return counters_; }
-    const MemoryHierarchy &memory() const { return mem_; }
-    const std::vector<uint64_t> &output() const { return output_; }
-
-    /** FNV-1a over the output stream; matches Core's. */
-    uint64_t outputChecksum() const { return outputHash_; }
-
-    void setFuel(uint64_t fuel) { fuel_ = fuel; }
-
-    /** Same observer contract as Core::setAttribution /
-     *  setBlockProfiler / setCounterTracks: replayed blocks feed the
-     *  sinks their exact per-instruction counts from the memo. */
-    void setAttribution(AttributionSink *sink) { attr_ = sink; }
-    void setBlockProfiler(BlockProfilerSink *sink) { prof_ = sink; }
-    void setCounterTracks(CounterTrackEmitter *tracks)
+    /** Memos published so far (observability/tests). */
+    size_t memoCount() const
     {
-        tracks_ = tracks;
+        return memoCount_.load(std::memory_order_acquire);
     }
-
-    /** Same semantics as Core::setMisspecPolicy. A non-Hardware
-     *  policy disables memo replay (memos bake in check-didn't-fire
-     *  straight-line execution); the slow path evaluates shouldForce
-     *  in the same operand order as Core, so legacy-vs-fast counter
-     *  equality holds under every policy. */
-    void
-    setMisspecPolicy(MisspecPolicy p, uint64_t seed = 0x5eed)
+    /** Replayed runs / slow-path instructions over every run that
+     *  reached its halt (observability/tests). */
+    uint64_t replayedRuns() const
     {
-        policy_ = p;
-        rng_ = Rng(seed);
+        return replayedRuns_.load(std::memory_order_relaxed);
     }
-    MisspecPolicy misspecPolicy() const { return policy_; }
-
-    /** Drop every block memo (they are rebuilt lazily). Correctness
-     *  never requires this — memos depend only on the immutable
-     *  pre-decoded code — but a System that re-squeezes and relinks
-     *  must not carry memos across program versions. */
-    void invalidateMemos();
-
-    /** Memos built so far (observability/tests). */
-    size_t memoCount() const { return memos_.size(); }
-    /** Replayed runs / slow-path instructions (observability/tests). */
-    uint64_t replayedRuns() const { return replayedRuns_; }
-    uint64_t slowInsts() const { return slowInsts_; }
+    uint64_t slowInsts() const
+    {
+        return slowInsts_.load(std::memory_order_relaxed);
+    }
 
   private:
-    struct Flags
-    {
-        bool n = false, z = false, c = false, v = false;
-    };
+    friend class FastMachine;
 
     /** Statically scheduled straight-line run starting at one flat
-     *  index: the block-site body up to (excluding) its terminator. */
+     *  index: the block-site body up to (excluding) its terminator.
+     *  Immutable once published; per-run state (deferred replay
+     *  counts, fetch pins) lives in the machine, indexed by id. */
     struct RunMemo
     {
         bool eligible = false;
+        uint32_t id = 0;           ///< Dense, in publication order.
         uint32_t start = 0;
         uint32_t len = 0;          ///< Body instructions.
         uint64_t bodyCycles = 0;   ///< Cycle offset at terminator fetch.
@@ -152,14 +123,6 @@ class FastCore
          *  (cycles unused; a conditional terminator's takenBranches
          *  is counted live). */
         ActivityCounters delta;
-        /** Clean replays not yet folded into counters_: delta is
-         *  committed as delta * pendingReplays at finish() instead of
-         *  per replay (the hot path's biggest accounting cost). */
-        uint64_t pendingReplays = 0;
-        /** Pinned L1I footprint (slots + per-line fetch counts).
-         *  While the L1I fill generation matches, the residency guard
-         *  is one compare and the fetch commit a direct stat bump. */
-        MemoryHierarchy::FetchPin pin;
         /** Compact replay micro-op, one per body instruction:
          *  full-width register/flag operations are pre-resolved to
          *  direct register-file ops; anything that can diverge, touch
@@ -202,17 +165,132 @@ class FastCore
         std::vector<ROp> ops; ///< One per body instruction.
     };
 
+    /** The published memo at flat index @p idx, or nullptr. */
+    const RunMemo *
+    memoIfBuilt(uint32_t idx) const
+    {
+        return bySite_[idx].load(std::memory_order_acquire);
+    }
+    /** The memo at @p idx, building and publishing it on first use:
+     *  built outside the lock, the first publisher wins. */
+    const RunMemo &memoAt(uint32_t idx);
+    /** Published memo @p id (< memoCount() as seen by the caller). */
+    const RunMemo &
+    memoById(uint32_t id) const
+    {
+        return *byId_[id].load(std::memory_order_acquire);
+    }
+    RunMemo buildMemo(uint32_t start) const;
+    /** Pre-resolve one body instruction into its replay micro-op. */
+    static RunMemo::ROp translateOp(const PInst &p,
+                                    const RunMemo::PerInst &pi);
+
+    const PredecodedProgram &pre_;
+    /** One slot per flat index and one per id, null until published;
+     *  at most one memo per index, so ids stay below size(). */
+    std::vector<std::atomic<const RunMemo *>> bySite_, byId_;
+    std::mutex publishMu_; ///< Serializes publication into memos_.
+    std::deque<RunMemo> memos_; ///< Stable addresses.
+    std::atomic<size_t> memoCount_{0};
+    std::atomic<uint64_t> replayedRuns_{0};
+    std::atomic<uint64_t> slowInsts_{0};
+};
+
+/**
+ * Machine state of one run: 4 MiB of data memory, registers,
+ * scoreboard, the memory hierarchy, counters, output, and the per-run
+ * side of every memo (deferred replay counts, fetch pins). bind() ties
+ * it to a FastCore and a global image; a machine serves one run at a
+ * time, so callers keep one per thread. Same observable contract as
+ * Core (the differential oracle — see tests/uarch/
+ * core_engine_diff_test.cc).
+ */
+class FastMachine
+{
+  public:
+    FastMachine();
+
+    /** Start over on @p code: load @p globals' images into zeroed
+     *  memory and reset registers, caches, counters, output, fuel,
+     *  observers and the misspeculation policy. @p code and
+     *  @p globals must outlive the runs. */
+    void bind(FastCore &code, const Module &globals);
+
+    /** Run from _start with up to four @p args in r0..r3; returns r0
+     *  at HALT. A halting run folds its replay counts into the
+     *  FastCore. */
+    uint32_t run(const std::vector<uint32_t> &args = {});
+
+    /** Valid after run() returns. After run() raises a FatalError
+     *  (division by zero, out-of-bounds access, bad PC, fuel) the
+     *  counters, memory stats and output are undefined until bind():
+     *  a trap leaves deferred replay counts unfolded, and nothing
+     *  reads the counters of a trapped run. */
+    const ActivityCounters &counters() const { return counters_; }
+    const MemoryHierarchy &memory() const { return mem_; }
+    const std::vector<uint64_t> &output() const { return output_; }
+
+    /** FNV-1a over the output stream; matches Core's. */
+    uint64_t outputChecksum() const { return outputHash_; }
+
+    void setFuel(uint64_t fuel) { fuel_ = fuel; }
+
+    /** Same observer contract as Core::setAttribution /
+     *  setBlockProfiler / setCounterTracks: replayed blocks feed the
+     *  sinks their exact per-instruction counts from the memo. */
+    void setAttribution(AttributionSink *sink) { attr_ = sink; }
+    void setBlockProfiler(BlockProfilerSink *sink) { prof_ = sink; }
+    void setCounterTracks(CounterTrackEmitter *tracks)
+    {
+        tracks_ = tracks;
+    }
+
+    /** Same semantics as Core::setMisspecPolicy. A non-Hardware
+     *  policy disables memo replay (memos bake in check-didn't-fire
+     *  straight-line execution); the slow path evaluates shouldForce
+     *  in the same operand order as Core, so legacy-vs-fast counter
+     *  equality holds under every policy. */
+    void
+    setMisspecPolicy(MisspecPolicy p, uint64_t seed = 0x5eed)
+    {
+        policy_ = p;
+        rng_ = Rng(seed);
+    }
+    MisspecPolicy misspecPolicy() const { return policy_; }
+
+    /** Replayed runs / slow-path instructions since bind(). */
+    uint64_t replayedRuns() const { return replayedRuns_; }
+    uint64_t slowInsts() const { return slowInsts_; }
+
+  private:
+    using RunMemo = FastCore::RunMemo;
+    static constexpr uint32_t kScratchReg = FastCore::kScratchReg;
+
+    struct Flags
+    {
+        bool n = false, z = false, c = false, v = false;
+    };
+
+    /** This run's side of one memo, indexed by RunMemo::id. */
+    struct MemoState
+    {
+        /** Clean replays not yet folded into counters_: the memo's
+         *  delta is committed as delta * pendingReplays at finish()
+         *  instead of per replay (the hot path's biggest accounting
+         *  cost). */
+        uint64_t pendingReplays = 0;
+        /** Pinned L1I footprint (slots + per-line fetch counts).
+         *  While the L1I fill generation matches, the residency guard
+         *  is one compare and the fetch commit a direct stat bump. */
+        MemoryHierarchy::FetchPin pin;
+    };
+
     bool condHolds(Cond c) const;
     uint32_t loadData(uint32_t addr, unsigned bytes);
     void storeData(uint32_t addr, uint32_t value, unsigned bytes);
     void setFlagsSub(uint64_t a, uint64_t b, unsigned bits);
     void emitOut(uint64_t v);
 
-    RunMemo &memoAt(uint32_t idx);
-    RunMemo buildMemo(uint32_t start) const;
-    /** Pre-resolve one body instruction into its replay micro-op. */
-    static RunMemo::ROp translateOp(const PInst &p,
-                                    const RunMemo::PerInst &pi);
     bool entryReady(const RunMemo &m) const;
 
     /** What execute() did beyond the functional work. */
@@ -247,18 +325,19 @@ class FastCore
     /** Replay the memoized run at cycle_, chaining into successor
      *  memos while their guards hold; returns the next flat index
      *  (or sets halted_). */
-    uint32_t replay(RunMemo &m);
+    uint32_t replay(const RunMemo &m);
     /** Leave a replay at body instruction @p i (cycle_ still at the
      *  run's entry): commit the first @p i instructions from the memo
      *  (fetches, counters, sinks, fuel), then retire the diverging
      *  one cycle-accurately. */
     uint32_t diverge(const RunMemo &m, uint32_t i, Outcome o);
     /** Replay residency guard: valid pin (one compare) or probe and
-     *  re-pin. False when some I-line is not resident. */
-    bool fetchGuard(RunMemo &m);
+     *  re-pin. False when some I-line is not resident. Sizes
+     *  memoState_ to cover @p m, so replay may index it directly. */
+    bool fetchGuard(const RunMemo &m);
     /** Commit one fetch traversal of the memo's range, via the pin
      *  when valid. */
-    void commitFetches(RunMemo &m);
+    void commitFetches(const RunMemo &m, const MemoState &s);
     /** One cycle-accurate slow-path instruction; returns next idx. */
     uint32_t slowStep(uint32_t idx);
 
@@ -266,9 +345,9 @@ class FastCore
     void applyDstWrite(uint8_t dst_write);
     void finish(uint64_t final_cycle);
 
-    const PredecodedProgram &pre_;
-    const MachProgram &prog_;
-    const Module &module_;
+    FastCore *code_ = nullptr;
+    const PredecodedProgram *pre_ = nullptr;
+    const MachProgram *prog_ = nullptr;
     std::vector<uint8_t> dataMem_;
     uint32_t regs_[16] = {};
     Flags flags_;
@@ -314,9 +393,7 @@ class FastCore
     bool halted_ = false;
     uint32_t retVal_ = 0;
 
-    /** Lazy memo table: memoIdx_[i] indexes memos_, -1 unbuilt. */
-    std::vector<int32_t> memoIdx_;
-    std::vector<RunMemo> memos_;
+    std::vector<MemoState> memoState_;
 
     uint64_t replayedRuns_ = 0;
     uint64_t slowInsts_ = 0;

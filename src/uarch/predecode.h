@@ -14,8 +14,8 @@
  * energy/latency contribution, ready to be summed per block.
  *
  * The table is immutable once built and independent of run state, so
- * one PredecodedProgram is shared by every FastCore run of a System
- * (block memos, which do depend on guard state, live in FastCore).
+ * one PredecodedProgram is shared by every run of a System, as is the
+ * FastCore memo table built on it.
  */
 
 #ifndef BITSPEC_UARCH_PREDECODE_H_
@@ -111,7 +111,7 @@ class PredecodedProgram
 {
   public:
     /** @p prog must outlive the table (operands alias nothing, but
-     *  FastCore still links/halts through the MachProgram). */
+     *  FastMachine still links/halts through the MachProgram). */
     explicit PredecodedProgram(const MachProgram &prog);
 
     const std::vector<PInst> &insts() const { return insts_; }

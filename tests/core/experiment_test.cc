@@ -127,6 +127,61 @@ TEST(ExperimentRunner, CachedRunsAreOrderIndependent)
     EXPECT_EQ(runner.stats().systemsBuilt, 1u);
 }
 
+TEST(ExperimentRunner, OneSystemRunsOnFourWorkersAtOnce)
+{
+    // Every cell below shares one System, so four workers run it at
+    // once: both engines under all three policies, several run seeds.
+    // Each cell must equal the one-worker run in every telemetry
+    // field, checksum and energy, and the racing first runs must
+    // publish exactly the memos the serial runs build.
+    const Workload &w = getWorkload("qsort");
+    const SystemConfig cfg = SystemConfig::bitspec(Heuristic::Avg);
+    std::vector<ExperimentCell> cells;
+    for (uint64_t run_seed : {0ull, 1ull, 2ull, 3ull})
+        for (CoreEngine engine : {CoreEngine::Legacy, CoreEngine::Fast})
+            for (MisspecPolicy policy :
+                 {MisspecPolicy::Hardware, MisspecPolicy::Random,
+                  MisspecPolicy::ForceFirst}) {
+                ExperimentCell c(&w, cfg, 0, run_seed);
+                c.engine = engine;
+                c.policy = policy;
+                c.policySeed = 0xfeed + run_seed;
+                cells.push_back(c);
+            }
+
+    auto memosOf = [&](ExperimentRunner &runner) {
+        size_t memos = 0;
+        runner.withSystem(w, cfg, 0, [&](System &sys) {
+            memos = sys.fastCore()->memoCount();
+        });
+        return memos;
+    };
+    ExperimentRunner serial(1);
+    const std::vector<RunResult> want = serial.run(cells);
+    ExperimentRunner parallel(4);
+    const std::vector<RunResult> got = parallel.run(cells);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(parallel.stats().systemsBuilt, 1u);
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const std::string what = "cell " + std::to_string(i);
+        EXPECT_EQ(got[i].returnValue, want[i].returnValue) << what;
+        EXPECT_EQ(got[i].outputChecksum, want[i].outputChecksum) << what;
+        EXPECT_EQ(firstTelemetryDiff(got[i].telemetry(),
+                                     want[i].telemetry()),
+                  "")
+            << what;
+        EXPECT_EQ(got[i].energy.total(), want[i].energy.total()) << what;
+        EXPECT_EQ(got[i].totalEnergy, want[i].totalEnergy) << what;
+        EXPECT_EQ(got[i].epi, want[i].epi) << what;
+    }
+    // Random and ForceFirst must actually have diverged from Hardware,
+    // or the policies were not applied per cell.
+    EXPECT_GT(want[2].counters.misspeculations,
+              want[0].counters.misspeculations);
+    EXPECT_GT(memosOf(serial), 0u);
+    EXPECT_EQ(memosOf(parallel), memosOf(serial));
+}
+
 TEST(ExperimentRunner, SystemKeySeparatesConfigs)
 {
     const Workload &w = getWorkload("CRC32");

@@ -30,6 +30,26 @@ TEST(Lexer, IntLiterals)
     EXPECT_EQ(toks[3].intValue, 0xdeadbeefu);
     EXPECT_EQ(toks[4].intValue, 123u);
     EXPECT_EQ(toks[5].intValue, 45u);
+
+    // The 64-bit limits are accepted; one past them is a located
+    // error, not a silent wrap.
+    toks = lex("18446744073709551615 0xffffffffffffffff");
+    EXPECT_EQ(toks[0].intValue, UINT64_MAX);
+    EXPECT_EQ(toks[1].intValue, UINT64_MAX);
+    for (const char *src :
+         {"x = 99999999999999999999999999;", "x = 18446744073709551616;",
+          "x = 0x10000000000000000;"}) {
+        SCOPED_TRACE(src);
+        try {
+            lex(src);
+            ADD_FAILURE() << "no error";
+        } catch (const CompileError &e) {
+            EXPECT_EQ(e.line(), 1);
+            EXPECT_EQ(e.col(), 5);
+            EXPECT_NE(std::string(e.what()).find("64 bits"),
+                      std::string::npos);
+        }
+    }
 }
 
 TEST(Lexer, CharAndStringLiterals)

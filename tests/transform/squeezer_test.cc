@@ -7,6 +7,7 @@
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
 #include "ir/builder.h"
+#include "ir/clone.h"
 #include "ir/printer.h"
 #include "transform/cfg_prep.h"
 #include "transform/squeezer.h"
@@ -178,6 +179,65 @@ TEST(Squeezer, MinHeuristicMisspeculatesMore)
     Interpreter in(*mod);
     EXPECT_EQ(in.run("main"), 200u * 64);
     EXPECT_GE(in.stats().misspeculations, 1u);
+}
+
+TEST(Squeezer, CloneKeepsSpeculativeRegions)
+{
+    // A squeezed module's clone carries every region, remapped onto
+    // its own blocks and checks, and misspeculates exactly like the
+    // original under every policy.
+    const char *src = R"(
+        u8 data[64];
+        u32 main() {
+            u32 s = 0;
+            for (u32 i = 0; i < 64; i++) s += data[i] * (i & 3);
+            return s;
+        }
+    )";
+    auto mod = compileSource(src);
+    Global *g = mod->getGlobal("data");
+    for (size_t i = 0; i < 64; ++i)
+        g->setElem(i, 200);
+    BitwidthProfile profile;
+    profile.profileRun(*mod, "main", {});
+    SqueezeOptions opts;
+    opts.heuristic = Heuristic::Min;
+    squeezeModule(*mod, profile, opts);
+
+    CloneMap map;
+    auto copy = cloneModule(*mod, &map);
+    EXPECT_EQ(printModule(*copy), printModule(*mod));
+    const Function &f = *mod->getFunction("main");
+    const Function &cf = *copy->getFunction("main");
+    ASSERT_FALSE(f.specRegions().empty());
+    ASSERT_EQ(cf.specRegions().size(), f.specRegions().size());
+    for (size_t r = 0; r < f.specRegions().size(); ++r) {
+        const SpecRegion &a = *f.specRegions()[r];
+        const SpecRegion &b = *cf.specRegions()[r];
+        EXPECT_EQ(b.id, a.id);
+        EXPECT_EQ(b.srcLine, a.srcLine);
+        EXPECT_EQ(b.handler, map.get(a.handler));
+        ASSERT_EQ(b.blocks.size(), a.blocks.size());
+        for (size_t i = 0; i < a.blocks.size(); ++i)
+            EXPECT_EQ(b.blocks[i], map.get(a.blocks[i]));
+        ASSERT_EQ(b.checks.size(), a.checks.size());
+        for (size_t i = 0; i < a.checks.size(); ++i)
+            EXPECT_EQ(b.checks[i],
+                      map.get(const_cast<Instruction *>(a.checks[i])));
+    }
+
+    for (MisspecPolicy policy :
+         {MisspecPolicy::Hardware, MisspecPolicy::ForceFirst,
+          MisspecPolicy::Random}) {
+        Interpreter orig(*mod), cloned(*copy);
+        orig.setMisspecPolicy(policy);
+        cloned.setMisspecPolicy(policy);
+        EXPECT_EQ(cloned.run("main"), orig.run("main"));
+        EXPECT_GE(orig.stats().misspeculations, 1u);
+        EXPECT_EQ(cloned.stats().misspeculations,
+                  orig.stats().misspeculations);
+        EXPECT_EQ(cloned.stats().steps, orig.stats().steps);
+    }
 }
 
 TEST(Squeezer, DifferentialAllHeuristics)

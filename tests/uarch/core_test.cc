@@ -250,7 +250,9 @@ expectSameFatal(const MachProgram &prog, const Module &mod,
          {MisspecPolicy::Hardware, MisspecPolicy::ForceFirst}) {
         SCOPED_TRACE(policy == MisspecPolicy::Hardware ? "Hardware"
                                                         : "ForceFirst");
-        FastCore fast(pre, mod);
+        FastCore code(pre);
+        FastMachine fast;
+        fast.bind(code, mod);
         fast.setMisspecPolicy(policy);
         uint32_t ret = 0;
         EXPECT_EQ(fatalWhat([&] { ret = fast.run(args); }), want);

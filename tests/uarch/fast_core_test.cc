@@ -2,8 +2,10 @@
  * @file
  * Targeted unit tests of the fast core engine: memo-guard divergence
  * (hot block -> cache miss or misspeculation -> hot again), memo
- * invalidation, persistence across reset(), fuel accounting under
- * replay, and the BITSPEC_CORE_ENGINE knob on System.
+ * persistence across rebinds, one memo table shared by machines on
+ * several threads, no memos for runs that cannot replay, fuel
+ * accounting under replay, and the BITSPEC_CORE_ENGINE knob on
+ * System.
  *
  * Whole-workload equivalence lives in core_engine_diff_test.cc; these
  * tests construct small kernels where the divergence paths are
@@ -13,10 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <thread>
 
 #include "backend/compiler.h"
 #include "core/system.h"
 #include "frontend/irgen.h"
+#include "obs/profiler.h"
 #include "profile/bitwidth_profile.h"
 #include "support/error.h"
 #include "support/str.h"
@@ -40,7 +44,7 @@ telemetryOf(const Engine &core)
 }
 
 void
-expectSameObservables(const Core &legacy, const FastCore &fast)
+expectSameObservables(const Core &legacy, const FastMachine &fast)
 {
     EXPECT_EQ(firstTelemetryDiff(telemetryOf(legacy), telemetryOf(fast)),
               "");
@@ -65,7 +69,9 @@ expectBothPathsExact(const MachProgram &prog, const Module &mod,
     uint32_t want = legacy.run(args);
 
     PredecodedProgram pre(prog);
-    FastCore fast(pre, mod);
+    FastCore code(pre);
+    FastMachine fast;
+    fast.bind(code, mod);
     EXPECT_EQ(fast.run(args), want);
     expectSameObservables(legacy, fast);
     EXPECT_GT(fast.replayedRuns(), 0u);
@@ -196,27 +202,117 @@ TEST(FastCore, ResetPreservesMemosAndStaysDeterministic)
     auto mod = compileSource(src);
     CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
     PredecodedProgram pre(cp.program);
-    FastCore fast(pre, *mod);
+    FastCore code(pre);
+    FastMachine fast;
+    fast.bind(code, *mod);
 
     uint32_t first = fast.run({8});
     ActivityCounters cold = fast.counters();
-    size_t memos = fast.memoCount();
-    uint64_t replays = fast.replayedRuns();
+    size_t memos = code.memoCount();
+    uint64_t replays = code.replayedRuns();
     EXPECT_GT(memos, 0u);
     EXPECT_GT(replays, 0u);
+    EXPECT_EQ(replays, fast.replayedRuns());
 
-    // reset() reloads globals/counters but keeps the memo table
-    // (geometry-only); the warm run must be bit-identical.
-    fast.reset();
+    // Rebinding reloads globals/counters; the memo table belongs to
+    // the FastCore (geometry-only) and survives. The warm run must be
+    // bit-identical, and the FastCore's counts are cumulative.
+    fast.bind(code, *mod);
     EXPECT_EQ(fast.run({8}), first);
     EXPECT_EQ(fast.counters().instructions, cold.instructions);
     EXPECT_EQ(fast.counters().cycles, cold.cycles);
-    EXPECT_EQ(fast.memoCount(), memos);
-    EXPECT_GT(fast.replayedRuns(), replays);
+    EXPECT_EQ(code.memoCount(), memos);
+    EXPECT_EQ(code.replayedRuns(), replays + fast.replayedRuns());
 }
 
-TEST(FastCore, InvalidateMemosDropsAndRebuilds)
+/** Copies of the observables of one finished machine run. */
+struct MachineRun
 {
+    uint32_t ret = 0;
+    uint64_t checksum = 0;
+    ActivityCounters counters;
+    CacheStats l1i, l1d, l2;
+    DramStats dram;
+
+    RunTelemetry telemetry() const { return {counters, l1i, l1d, l2, dram}; }
+};
+
+MachineRun
+machineRun(const FastMachine &m, uint32_t ret)
+{
+    const MemoryHierarchy &mem = m.memory();
+    return {ret,       m.outputChecksum(), m.counters(), mem.l1i(),
+            mem.l1d(), mem.l2(),           mem.dram()};
+}
+
+TEST(FastCore, MachinesShareOneMemoTableAcrossThreads)
+{
+    // Four threads, each with its own machine, run one FastCore at
+    // once, starting cold so that they race to build and publish the
+    // same memos. Every run must match the serial one exactly, and
+    // the table must hold exactly the memos one serial run builds.
+    const char *src = R"(
+        u32 data[2048];
+        u32 main(u32 n) {
+            u32 h = 0;
+            for (u32 r = 0; r < n; r++)
+                for (u32 i = 0; i < 2048; i++) {
+                    if (data[i] & 1)
+                        h = h * 31 + data[i];
+                    else
+                        h = h ^ (h >> 3);
+                    data[i] = h + i;
+                }
+            return h;
+        }
+    )";
+    auto mod = compileSource(src);
+    CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
+    PredecodedProgram pre(cp.program);
+
+    FastCore serial_code(pre);
+    FastMachine serial;
+    serial.bind(serial_code, *mod);
+    const MachineRun want = machineRun(serial, serial.run({6}));
+
+    // A fresh table per round: each round races the cold start again.
+    constexpr unsigned kRounds = 8, kThreads = 4, kRuns = 3;
+    for (unsigned round = 0; round < kRounds; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        FastCore code(pre);
+        std::vector<std::vector<MachineRun>> got(kThreads);
+        std::vector<std::thread> threads;
+        for (unsigned t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                FastMachine m;
+                for (unsigned r = 0; r < kRuns; ++r) {
+                    m.bind(code, *mod);
+                    const uint32_t ret = m.run({6});
+                    got[t].push_back(machineRun(m, ret));
+                }
+            });
+        for (std::thread &th : threads)
+            th.join();
+
+        for (unsigned t = 0; t < kThreads; ++t)
+            for (const MachineRun &r : got[t]) {
+                EXPECT_EQ(r.ret, want.ret);
+                EXPECT_EQ(r.checksum, want.checksum);
+                EXPECT_EQ(
+                    firstTelemetryDiff(r.telemetry(), want.telemetry()),
+                    "");
+            }
+        EXPECT_EQ(code.memoCount(), serial_code.memoCount());
+        EXPECT_EQ(code.replayedRuns(),
+                  serial_code.replayedRuns() * kThreads * kRuns);
+    }
+}
+
+TEST(FastCore, RunsThatCannotReplayBuildNoMemos)
+{
+    // Memos bake in the Hardware policy and bulk accounting, so runs
+    // under another policy or with counter tracks attached must leave
+    // the table empty; a Hardware run then builds and replays it.
     const char *src = R"(
         u32 state;
         u32 main(u32 n) {
@@ -228,20 +324,27 @@ TEST(FastCore, InvalidateMemosDropsAndRebuilds)
     auto mod = compileSource(src);
     CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
     PredecodedProgram pre(cp.program);
-    FastCore fast(pre, *mod);
+    FastCore code(pre);
+    FastMachine fast;
 
-    uint32_t first = fast.run({32});
-    uint64_t cycles = fast.counters().cycles;
-    EXPECT_GT(fast.memoCount(), 0u);
+    for (MisspecPolicy p :
+         {MisspecPolicy::ForceFirst, MisspecPolicy::Random}) {
+        fast.bind(code, *mod);
+        fast.setMisspecPolicy(p);
+        fast.run({32});
+    }
+    CounterTrackEmitter tracks;
+    fast.bind(code, *mod);
+    fast.setCounterTracks(&tracks);
+    fast.run({32});
+    EXPECT_EQ(code.memoCount(), 0u);
+    EXPECT_EQ(code.replayedRuns(), 0u);
+    EXPECT_GT(code.slowInsts(), 0u);
 
-    // The analogue of Interpreter::invalidate(): stale memos must be
-    // droppable, and rebuilding them must not change any observable.
-    fast.invalidateMemos();
-    EXPECT_EQ(fast.memoCount(), 0u);
-    fast.reset();
-    EXPECT_EQ(fast.run({32}), first);
-    EXPECT_EQ(fast.counters().cycles, cycles);
-    EXPECT_GT(fast.memoCount(), 0u);
+    fast.bind(code, *mod);
+    fast.run({32});
+    EXPECT_GT(code.memoCount(), 0u);
+    EXPECT_GT(code.replayedRuns(), 0u);
 }
 
 TEST(FastCore, FuelGuardsAgainstRunawayUnderReplay)
@@ -251,7 +354,9 @@ TEST(FastCore, FuelGuardsAgainstRunawayUnderReplay)
     auto mod = compileSource(src);
     CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
     PredecodedProgram pre(cp.program);
-    FastCore fast(pre, *mod);
+    FastCore code(pre);
+    FastMachine fast;
+    fast.bind(code, *mod);
     fast.setFuel(5000);
     EXPECT_THROW(fast.run(), FatalError);
 }
@@ -293,17 +398,23 @@ TEST_F(CoreEngineKnob, RejectsUnknownValue)
     EXPECT_THROW(makeSystem(), FatalError);
 }
 
-TEST_F(CoreEngineKnob, SwitchingEnginesDropsFastState)
+TEST_F(CoreEngineKnob, SwitchingEnginesKeepsFastState)
 {
+    // The memo table depends only on the immutable compiled program,
+    // so switching engines (or running Legacy) leaves it intact.
     ::unsetenv("BITSPEC_CORE_ENGINE");
     System sys = makeSystem();
-    sys.run();
+    RunResult fast = sys.run();
     ASSERT_NE(sys.fastCore(), nullptr);
+    const size_t memos = sys.fastCore()->memoCount();
+    EXPECT_GT(memos, 0u);
     sys.setCoreEngine(CoreEngine::Legacy);
-    EXPECT_EQ(sys.fastCore(), nullptr);
-    RunResult r = sys.run();
-    EXPECT_EQ(r.returnValue, 7u);
-    EXPECT_EQ(sys.fastCore(), nullptr); // Legacy runs never build it.
+    RunResult legacy = sys.run();
+    EXPECT_EQ(legacy.returnValue, 7u);
+    EXPECT_EQ(firstTelemetryDiff(legacy.telemetry(), fast.telemetry()),
+              "");
+    EXPECT_EQ(sys.fastCore()->memoCount(), memos);
+    EXPECT_EQ(sys.coreEngine(), CoreEngine::Legacy);
 }
 
 } // namespace
