@@ -49,32 +49,22 @@ main()
          {Heuristic::Max, Heuristic::Avg, Heuristic::Min}) {
         const SystemConfig cfg = SystemConfig::bitspec(h);
 
-        // Self-profiled reference cells (profile j, run j), then the
-        // full profile x run cross product; one matrix, cached
-        // Systems shared between both halves.
+        // The full profile x run cross product, one matrix; its
+        // diagonal (profile j, run j) is the self-profiled reference.
         std::vector<ExperimentCell> cells;
-        for (unsigned j = 0; j < kImages; ++j)
-            cells.push_back(cell(w, cfg, 100 + j, 100 + j));
         for (unsigned i = 0; i < kImages; ++i)
             for (unsigned j = 0; j < kImages; ++j)
                 cells.push_back(cell(w, cfg, 100 + i, 100 + j));
         std::vector<RunResult> res = runMatrix(cells);
-
-        std::vector<double> self_insts(kImages);
-        for (unsigned j = 0; j < kImages; ++j)
-            self_insts[j] =
-                static_cast<double>(res[j].counters.instructions);
+        auto insts = [&](unsigned i, unsigned j) {
+            return static_cast<double>(
+                res[i * kImages + j].counters.instructions);
+        };
 
         std::vector<double> ratios;
-        size_t k = kImages;
-        for (unsigned i = 0; i < kImages; ++i) {
-            for (unsigned j = 0; j < kImages; ++j) {
-                const RunResult &r = res[k++];
-                ratios.push_back(
-                    static_cast<double>(r.counters.instructions) /
-                    self_insts[j]);
-            }
-        }
+        for (unsigned i = 0; i < kImages; ++i)
+            for (unsigned j = 0; j < kImages; ++j)
+                ratios.push_back(insts(i, j) / insts(j, j));
         std::sort(ratios.begin(), ratios.end());
         std::printf("%s CDF:  p10=%.4f  p50=%.4f  p90=%.4f  "
                     "p100=%.4f\n",

@@ -66,9 +66,9 @@ evalCmp(CmpPred pred, uint64_t a, uint64_t b, unsigned bits)
 
 } // namespace
 
-Interpreter::Interpreter(Module &m, size_t mem_bytes) : module_(m)
+Interpreter::Interpreter(Module &m, size_t mem_bytes)
+    : module_(m), memory_(mem_bytes)
 {
-    memory_.resize(mem_bytes, 0);
     module_.layoutGlobals();
     reset();
 }
@@ -78,7 +78,7 @@ Interpreter::~Interpreter() = default;
 void
 Interpreter::reset()
 {
-    std::fill(memory_.begin(), memory_.end(), 0);
+    memory_.zero();
     for (const auto &g : module_.globals()) {
         uint32_t base = g->address();
         bsAssert(base + g->sizeBytes() <= memory_.size(),

@@ -34,6 +34,7 @@
 #include "ir/module.h"
 #include "support/misspec.h"
 #include "support/rng.h"
+#include "support/zeroed_pages.h"
 
 namespace bitspec
 {
@@ -234,7 +235,7 @@ class Interpreter
     [[noreturn]] void boundsViolation(uint32_t id, unsigned bits) const;
 
     Module &module_;
-    std::vector<uint8_t> memory_;
+    ZeroedPages memory_;
     std::vector<uint64_t> output_;
     InterpStats stats_;
     uint64_t fuel_ = kDefaultFuel;

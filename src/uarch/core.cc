@@ -24,16 +24,15 @@ constexpr uint32_t kDivLatency = 12;
 } // namespace
 
 Core::Core(const MachProgram &program, const Module &m)
-    : prog_(program), module_(m)
+    : prog_(program), module_(m), dataMem_(kMemBytes)
 {
-    dataMem_.resize(kMemBytes, 0);
     reset();
 }
 
 void
 Core::reset()
 {
-    std::fill(dataMem_.begin(), dataMem_.end(), 0);
+    dataMem_.zero();
     for (const auto &g : module_.globals()) {
         bsAssert(g->address() + g->sizeBytes() <= dataMem_.size(),
                  "global outside data memory");

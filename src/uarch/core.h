@@ -23,6 +23,7 @@
 #include "ir/module.h"
 #include "support/misspec.h"
 #include "support/rng.h"
+#include "support/zeroed_pages.h"
 #include "uarch/cache.h"
 #include "uarch/counters.h"
 
@@ -126,7 +127,7 @@ class Core
 
     const MachProgram &prog_;
     const Module &module_;
-    std::vector<uint8_t> dataMem_;
+    ZeroedPages dataMem_;
     uint32_t regs_[16] = {};
     Flags flags_;
     uint32_t delta_ = 0;

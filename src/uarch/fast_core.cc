@@ -69,20 +69,13 @@ addScaledDelta(ActivityCounters &c, const ActivityCounters &d,
             c.*f.member += d.*f.member * n;
 }
 
-inline bool
-isTerminator(PKind k)
-{
-    return k == PKind::Branch || k == PKind::Call ||
-           k == PKind::Ret || k == PKind::Halt;
-}
-
 } // namespace
 
 FastCore::FastCore(const PredecodedProgram &pre)
     : pre_(pre), bySite_(pre.size()), byId_(pre.size())
 {}
 
-FastMachine::FastMachine() : dataMem_(Core::kMemBytes, 0) {}
+FastMachine::FastMachine() : dataMem_(Core::kMemBytes) {}
 
 void
 FastMachine::bind(FastCore &code, const Module &globals)
@@ -90,7 +83,7 @@ FastMachine::bind(FastCore &code, const Module &globals)
     code_ = &code;
     pre_ = &code.predecoded();
     prog_ = &pre_->prog();
-    std::fill(dataMem_.begin(), dataMem_.end(), 0);
+    dataMem_.zero();
     for (const auto &g : globals.globals()) {
         bsAssert(g->address() + g->sizeBytes() <= dataMem_.size(),
                  "global outside data memory");
@@ -221,21 +214,22 @@ FastCore::buildMemo(uint32_t start) const
     RunMemo m;
     m.start = start;
     const std::vector<PInst> &insts = pre_.insts();
-    const uint32_t size = static_cast<uint32_t>(insts.size());
+    const uint32_t end = pre_.runEnd(start);
+    // Running off the code is left to the slow path, which raises
+    // the fatal.
+    if (end >= insts.size() || end - start > kMaxRunLen)
+        return m;
 
     uint64_t rel = 0;           // Cycle offset from run entry.
     uint64_t relReady[16] = {}; // Scoreboard offsets.
     uint16_t writtenMask = 0;
     uint32_t maxReadyOff = 0;
 
-    uint32_t i = start;
-    for (;; ++i) {
-        if (i >= size)
-            return m; // Ran off the code: slow path raises the fatal.
+    m.per.reserve(end - start);
+    m.ops.reserve(end - start);
+    for (uint32_t i = start; i < end; ++i) {
         const PInst &p = insts[i];
-        if (isTerminator(p.kind))
-            break;
-        if (p.kind == PKind::Bad || i - start >= kMaxRunLen)
+        if (p.kind == PKind::Bad)
             return m;
 
         RunMemo::PerInst pi;
@@ -290,15 +284,15 @@ FastCore::buildMemo(uint32_t start) const
     // static contribution (branches/calls/instruction) rides in the
     // deferred delta too; only a conditional branch's takenBranches is
     // dynamic and counted live in terminate().
-    addContrib(m.delta, insts[i].contrib);
+    addContrib(m.delta, insts[end].contrib);
     ++m.delta.instructions;
 
-    m.len = i - start;
+    m.len = end - start;
     m.bodyCycles = rel;
     m.maxReadyOff = maxReadyOff;
     m.fuelCost = m.len + 1;
     m.fetchFirst = pre_.prog().addrOf(start);
-    m.fetchLast = pre_.prog().addrOf(i);
+    m.fetchLast = pre_.prog().addrOf(end);
     for (uint32_t j = 0; j < m.len; ++j) {
         uint64_t next_fetch =
             j + 1 < m.len ? m.per[j + 1].cycBefore : m.bodyCycles;
@@ -477,10 +471,8 @@ FastCore::translateOp(const PInst &p, const RunMemo::PerInst &pi)
 }
 
 const FastCore::RunMemo &
-FastCore::memoAt(uint32_t idx)
+FastCore::buildMemoAt(uint32_t idx)
 {
-    if (const RunMemo *m = memoIfBuilt(idx))
-        return *m;
     RunMemo built = buildMemo(idx);
     std::lock_guard<std::mutex> lock(publishMu_);
     // Another run may have published this site while we built it.
@@ -534,7 +526,7 @@ FastMachine::commitFetches(const RunMemo &m, const MemoState &s)
 }
 
 [[gnu::always_inline]] inline FastMachine::Outcome
-FastMachine::execute(const PInst &p, uint64_t issue, MisspecPolicy policy)
+FastMachine::execute(const PInst &p, uint64_t issue)
 {
     uint32_t *regs = regs_;
     Outcome o;
@@ -657,7 +649,7 @@ FastMachine::execute(const PInst &p, uint64_t issue, MisspecPolicy policy)
         uint32_t addr = readSrc(p.a, regs) + readSrc(p.b, regs);
         o.stall = mem_.data(addr, false);
         uint32_t v = loadData(addr, p.aux);
-        if (v > 0xff || shouldForce(policy)) {
+        if (v > 0xff || shouldForce()) {
             o.wrote = false;
             o.misspec = true;
             break;
@@ -676,7 +668,7 @@ FastMachine::execute(const PInst &p, uint64_t issue, MisspecPolicy policy)
         uint32_t a = readSrc(p.a, regs) & 0xff;
         uint32_t b = readSrc(p.b, regs) & 0xff;
         uint32_t full = a + b;
-        if (p.aux && (full > 0xff || shouldForce(policy))) {
+        if (p.aux && (full > 0xff || shouldForce())) {
             o.wrote = false;
             o.misspec = true;
             break;
@@ -687,7 +679,7 @@ FastMachine::execute(const PInst &p, uint64_t issue, MisspecPolicy policy)
       case PKind::Sub8: {
         uint32_t a = readSrc(p.a, regs) & 0xff;
         uint32_t b = readSrc(p.b, regs) & 0xff;
-        if (p.aux && (a < b || shouldForce(policy))) {
+        if (p.aux && (a < b || shouldForce())) {
             o.wrote = false;
             o.misspec = true;
             break;
@@ -709,7 +701,7 @@ FastMachine::execute(const PInst &p, uint64_t issue, MisspecPolicy policy)
         break;
       case PKind::Trn8: {
         uint32_t v = readSrc(p.a, regs);
-        if (p.aux && (v > 0xff || shouldForce(policy))) {
+        if (p.aux && (v > 0xff || shouldForce())) {
             o.wrote = false;
             o.misspec = true;
             break;
@@ -958,8 +950,7 @@ FastMachine::replay(const RunMemo &m0)
                 break;
               }
               default: { // kGeneric.
-                const Outcome o = execute(insts[i], entry + r.imm,
-                                          MisspecPolicy::Hardware);
+                const Outcome o = execute(insts[i], entry + r.imm);
                 if (!o.clean())
                     return diverge(*mp, i, o);
                 break;
@@ -995,8 +986,9 @@ FastMachine::replay(const RunMemo &m0)
         // Block chaining: when the successor already has an eligible
         // memo and its entry guards hold, continue replaying it right
         // here — no dispatcher round trip. These are run()'s guards
-        // (tracks_ is null and the policy Hardware whenever replay
-        // runs), so the path taken and every sink feed are unchanged.
+        // (tracks_ is null whenever replay runs), and a successor
+        // without a memo goes back to run(), which may build one; so
+        // the path taken and every sink feed are unchanged.
         if (halted_ || next >= pre_->size())
             return next;
         const RunMemo *n = code_->memoIfBuilt(next);
@@ -1065,7 +1057,7 @@ FastMachine::slowStep(uint32_t idx)
 
     if (isTerminator(p.kind))
         return terminate(idx, p, cycle_at_fetch);
-    return retire(idx, p, execute(p, cycle_, policy_), cycle_at_fetch);
+    return retire(idx, p, execute(p, cycle_), cycle_at_fetch);
 }
 
 uint32_t
@@ -1085,17 +1077,27 @@ FastMachine::run(const std::vector<uint32_t> &args)
     const uint32_t size = static_cast<uint32_t>(pre_->size());
     // A counter-track emitter samples at per-retire granularity; bulk
     // replay would shift its window boundaries, so tracing runs stay
-    // on the cycle-accurate path. Non-Hardware misspec policies
-    // likewise bypass replay: a memo bakes in that no check in the
-    // body fired. Such runs build no memos either.
-    const bool replayable =
-        !tracks_ && policy_ == MisspecPolicy::Hardware;
+    // on the cycle-accurate path and build no memos. Every
+    // misspeculation policy replays: its checks run in execute(), in
+    // program order on both paths, and a forced one diverges exactly
+    // like a natural one.
+    const bool replayable = !tracks_;
 
     uint32_t idx = 0;
     for (;;) {
         if (idx >= size)
             fatal(strFormat("PC out of code range: index %u", idx));
-        const RunMemo *m = replayable ? &code_->memoAt(idx) : nullptr;
+        // A memo is built on the first visit where its fetch guard
+        // can hold: with a later I-line of the run not yet resident,
+        // it could not replay on this visit anyway.
+        const RunMemo *m = nullptr;
+        if (replayable) {
+            m = code_->memoIfBuilt(idx);
+            if (!m && mem_.fetchRangeResident(
+                          prog_->addrOf(idx),
+                          prog_->addrOf(pre_->runEnd(idx))))
+                m = &code_->buildMemoAt(idx);
+        }
         if (m && m->eligible && executed_ + m->fuelCost <= fuel_ &&
             entryReady(*m) && fetchGuard(*m)) {
             idx = replay(*m);

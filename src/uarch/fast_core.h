@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "ir/module.h"
+#include "support/zeroed_pages.h"
 #include "uarch/cache.h"
 #include "uarch/core.h"
 #include "uarch/counters.h"
@@ -63,9 +64,10 @@ class CounterTrackEmitter;
 /**
  * The fast engine of one program: its pre-decoded code and the memo
  * table every run of it shares, plus cumulative counts. Memos are
- * built lazily and published once; after publication a RunMemo never
- * changes, so any number of FastMachines (one per thread) may run the
- * same FastCore at once.
+ * built lazily, on the first visit to a site whose whole run is
+ * L1I-resident (the first visit where it could replay), and published
+ * once; after publication a RunMemo never changes, so any number of
+ * FastMachines (one per thread) may run the same FastCore at once.
  */
 class FastCore
 {
@@ -171,9 +173,9 @@ class FastCore
     {
         return bySite_[idx].load(std::memory_order_acquire);
     }
-    /** The memo at @p idx, building and publishing it on first use:
-     *  built outside the lock, the first publisher wins. */
-    const RunMemo &memoAt(uint32_t idx);
+    /** Build the memo at @p idx and publish it: built outside the
+     *  lock, the first publisher wins. Returns the published memo. */
+    const RunMemo &buildMemoAt(uint32_t idx);
     /** Published memo @p id (< memoCount() as seen by the caller). */
     const RunMemo &
     memoById(uint32_t id) const
@@ -245,11 +247,12 @@ class FastMachine
         tracks_ = tracks;
     }
 
-    /** Same semantics as Core::setMisspecPolicy. A non-Hardware
-     *  policy disables memo replay (memos bake in check-didn't-fire
-     *  straight-line execution); the slow path evaluates shouldForce
-     *  in the same operand order as Core, so legacy-vs-fast counter
-     *  equality holds under every policy. */
+    /** Same semantics as Core::setMisspecPolicy. Both paths
+     *  evaluate shouldForce in execute(), in program order and in the
+     *  same operand order as Core, so the Random stream stays aligned
+     *  and legacy-vs-fast counter equality holds under every policy;
+     *  a forced check leaves replay through diverge() like a natural
+     *  one. */
     void
     setMisspecPolicy(MisspecPolicy p, uint64_t seed = 0x5eed)
     {
@@ -307,11 +310,9 @@ class FastMachine
     /** Functional work of one non-terminator instruction issued at
      *  cycle @p issue — the one execute body of both paths. A
      *  conditional move's write is outside the memo schedule, so it
-     *  times its own scoreboard entry from @p issue. @p policy is the
-     *  misspeculation overlay in effect: policy_ on the slow path,
-     *  Hardware in replay (its guard), which compiles the overlay out
-     *  of replayed bodies. */
-    Outcome execute(const PInst &p, uint64_t issue, MisspecPolicy policy);
+     *  times its own scoreboard entry from @p issue. Speculative
+     *  checks consult policy_; only Generic micro-ops reach them. */
+    Outcome execute(const PInst &p, uint64_t issue);
     /** Timing and accounting of the non-terminator at @p idx from its
      *  Outcome, with cycle_ at its issue; returns the next index. */
     uint32_t retire(uint32_t idx, const PInst &p, Outcome o,
@@ -348,7 +349,7 @@ class FastMachine
     FastCore *code_ = nullptr;
     const PredecodedProgram *pre_ = nullptr;
     const MachProgram *prog_ = nullptr;
-    std::vector<uint8_t> dataMem_;
+    ZeroedPages dataMem_;
     uint32_t regs_[16] = {};
     Flags flags_;
     uint32_t delta_ = 0;
@@ -365,15 +366,14 @@ class FastMachine
     MisspecPolicy policy_ = MisspecPolicy::Hardware;
     Rng rng_{0x5eed};
 
-    /** Overlay @p policy for one check site; mirrors
-     *  Core::shouldForce (same draw order keeps the Random streams
-     *  aligned). */
+    /** Overlay policy_ for one check site; mirrors Core::shouldForce
+     *  (same draw order keeps the Random streams aligned). */
     bool
-    shouldForce(MisspecPolicy policy)
+    shouldForce()
     {
-        if (policy == MisspecPolicy::ForceFirst)
+        if (policy_ == MisspecPolicy::ForceFirst)
             return true;
-        if (policy == MisspecPolicy::Random)
+        if (policy_ == MisspecPolicy::Random)
             return rng_.next() % 8 == 0;
         return false;
     }

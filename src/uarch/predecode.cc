@@ -323,6 +323,13 @@ PredecodedProgram::PredecodedProgram(const MachProgram &prog)
     insts_.reserve(prog.flat.size());
     for (const MachInst &inst : prog.flat)
         insts_.push_back(decodeInst(inst));
+    uint32_t end = static_cast<uint32_t>(insts_.size());
+    runEnd_.resize(insts_.size());
+    for (uint32_t i = end; i-- > 0;) {
+        if (isTerminator(insts_[i].kind))
+            end = i;
+        runEnd_[i] = end;
+    }
 }
 
 } // namespace bitspec

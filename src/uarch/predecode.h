@@ -56,6 +56,14 @@ enum class PKind : uint8_t
     Bad,      ///< Unallocated operand; executes as the legacy panic.
 };
 
+/** Branch/Call/Ret/Halt: the kinds that end a straight-line run. */
+inline bool
+isTerminator(PKind k)
+{
+    return k == PKind::Branch || k == PKind::Call ||
+           k == PKind::Ret || k == PKind::Halt;
+}
+
 /** Pre-resolved operand: read = isImm ? imm : (regs[reg]>>shift)&mask,
  *  write = merge of (value & mask) << shift into regs[reg]. Reg
  *  operands get mask 0xffffffff/shift 0, slices mask 0xff/shift 8*i,
@@ -118,9 +126,15 @@ class PredecodedProgram
     const MachProgram &prog() const { return prog_; }
     size_t size() const { return insts_.size(); }
 
+    /** End of the straight-line run through @p idx: the index of the
+     *  first terminator at or after it, or size() when the code ends
+     *  first. */
+    uint32_t runEnd(uint32_t idx) const { return runEnd_[idx]; }
+
   private:
     const MachProgram &prog_;
     std::vector<PInst> insts_;
+    std::vector<uint32_t> runEnd_;
 };
 
 } // namespace bitspec

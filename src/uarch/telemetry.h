@@ -16,15 +16,17 @@
 namespace bitspec
 {
 
-/** References to one run's hardware telemetry (RunResult::telemetry,
- *  or a Core's counters() plus its memory() levels). */
+/** A copy of one run's hardware telemetry (RunResult::telemetry, or
+ *  a Core's counters() plus its memory() levels). It owns its
+ *  sections, so it stays valid after the engine it was read from is
+ *  rebound or destroyed. */
 struct RunTelemetry
 {
-    const ActivityCounters &counters;
-    const CacheStats &l1i;
-    const CacheStats &l1d;
-    const CacheStats &l2;
-    const DramStats &dram;
+    ActivityCounters counters;
+    CacheStats l1i;
+    CacheStats l1d;
+    CacheStats l2;
+    DramStats dram;
 };
 
 /** Call @p fn(ledger prefix, section of each of @p runs...) for every

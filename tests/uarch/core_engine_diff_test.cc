@@ -150,11 +150,12 @@ TEST_P(CoreEngineDiff, NoSpeculationConfigMatches)
 /**
  * The same legacy-vs-fast equivalence under the non-Hardware
  * misspeculation policies (forced and seeded-random redirects). The
- * fast engine bypasses memo replay under these policies, so its
- * slow path must keep the RNG draw order aligned with legacy Core —
- * any drift shows up as a counter or attribution diff here. Theorems
- * 3.1/3.2 additionally make every policy's committed outputs equal
- * to Hardware's, which pins the checksum across all six runs.
+ * fast engine replays memos under these policies too, with forced
+ * checks leaving replay like natural ones, so both of its paths must
+ * keep the RNG draw order aligned with legacy Core — any drift shows
+ * up as a counter or attribution diff here. Theorems 3.1/3.2
+ * additionally make every policy's committed outputs equal to
+ * Hardware's, which pins the checksum across all six runs.
  */
 class CorePolicyDiff : public ::testing::TestWithParam<std::string>
 {};
@@ -180,8 +181,13 @@ TEST_P(CorePolicyDiff, PoliciesMatchAcrossEngines)
         CoreRun legacy = runOnce(sys, amap, bmap);
 
         sys.setCoreEngine(CoreEngine::Fast);
+        ASSERT_NE(sys.fastCore(), nullptr);
+        const uint64_t replayed = sys.fastCore()->replayedRuns();
         CoreRun fast = runOnce(sys, amap, bmap);
         expectSameRun(legacy, fast, what);
+        // The diff covers replay under this policy, not just the
+        // slow path.
+        EXPECT_GT(sys.fastCore()->replayedRuns(), replayed) << what;
 
         // Semantics preservation: committed outputs are
         // policy-independent even though the paths differ.
@@ -197,26 +203,25 @@ TEST_P(CorePolicyDiff, PoliciesMatchAcrossEngines)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Mibench, CorePolicyDiff,
-    ::testing::Values("CRC32", "blowfish", "qsort", "rijndael", "sha"),
-    [](const ::testing::TestParamInfo<std::string> &info) {
-        return info.param;
-    });
+const auto kWorkloads = ::testing::Values(
+    "CRC32", "FFT", "basicmath", "bitcount", "blowfish", "dijkstra",
+    "patricia", "qsort", "rijndael", "sha", "stringsearch", "susan-edges",
+    "susan-corners", "susan-smoothing");
 
-INSTANTIATE_TEST_SUITE_P(
-    Mibench, CoreEngineDiff,
-    ::testing::Values("CRC32", "FFT", "basicmath", "bitcount",
-                      "blowfish", "dijkstra", "patricia", "qsort",
-                      "rijndael", "sha", "stringsearch", "susan-edges",
-                      "susan-corners", "susan-smoothing"),
-    [](const ::testing::TestParamInfo<std::string> &info) {
-        std::string name = info.param;
-        for (char &c : name)
-            if (c == '-')
-                c = '_';
-        return name;
-    });
+std::string
+workloadTestName(const ::testing::TestParamInfo<std::string> &info)
+{
+    std::string name = info.param;
+    for (char &c : name)
+        if (c == '-')
+            c = '_';
+    return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Mibench, CorePolicyDiff, kWorkloads,
+                         workloadTestName);
+INSTANTIATE_TEST_SUITE_P(Mibench, CoreEngineDiff, kWorkloads,
+                         workloadTestName);
 
 } // namespace
 } // namespace bitspec

@@ -3,6 +3,7 @@
 #include "backend/compiler.h"
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
+#include "obs/profiler.h"
 #include "profile/bitwidth_profile.h"
 #include "support/error.h"
 #include "support/str.h"
@@ -233,36 +234,60 @@ fatalWhat(Run &&run)
     return "";
 }
 
-/** Run @p prog with @p args on the legacy Core and on FastCore under
- *  Hardware (memo replay once the code is resident) and ForceFirst
- *  (slow path only). Every engine must raise the same fatal, or all
- *  must return the same r0. Returns the legacy fatal message. */
+/** Run @p prog with @p args on the legacy Core and on FastCore: under
+ *  Hardware, ForceFirst and Random (each must replay memos once the
+ *  code is resident), and under Hardware with a counter-track
+ *  emitter attached (slow path only). Each FastCore leg must raise
+ *  the fatal of the legacy Core under the same policy, or return the
+ *  same r0, and every policy must end like Hardware. Returns the
+ *  legacy Hardware fatal message. */
 std::string
 expectSameFatal(const MachProgram &prog, const Module &mod,
                 const std::vector<uint32_t> &args)
 {
-    Core legacy(prog, mod);
+    struct Leg
+    {
+        MisspecPolicy policy;
+        bool tracked;
+    };
     uint32_t want_ret = 0;
-    const std::string want =
-        fatalWhat([&] { want_ret = legacy.run(args); });
+    std::string want;
     PredecodedProgram pre(prog);
-    for (MisspecPolicy policy :
-         {MisspecPolicy::Hardware, MisspecPolicy::ForceFirst}) {
-        SCOPED_TRACE(policy == MisspecPolicy::Hardware ? "Hardware"
-                                                        : "ForceFirst");
+    for (Leg leg : {Leg{MisspecPolicy::Hardware, false},
+                    Leg{MisspecPolicy::ForceFirst, false},
+                    Leg{MisspecPolicy::Random, false},
+                    Leg{MisspecPolicy::Hardware, true}}) {
+        SCOPED_TRACE(std::string(misspecPolicyName(leg.policy)) +
+                     (leg.tracked ? " with counter tracks" : ""));
+        Core legacy(prog, mod);
+        legacy.setMisspecPolicy(leg.policy);
+        uint32_t legacy_ret = 0;
+        const std::string legacy_fatal =
+            fatalWhat([&] { legacy_ret = legacy.run(args); });
+        if (leg.policy == MisspecPolicy::Hardware && !leg.tracked) {
+            want = legacy_fatal;
+            want_ret = legacy_ret;
+        }
+        EXPECT_EQ(legacy_fatal, want);
+
         FastCore code(pre);
         FastMachine fast;
+        CounterTrackEmitter tracks;
         fast.bind(code, mod);
-        fast.setMisspecPolicy(policy);
+        fast.setMisspecPolicy(leg.policy);
+        if (leg.tracked)
+            fast.setCounterTracks(&tracks);
         uint32_t ret = 0;
-        EXPECT_EQ(fatalWhat([&] { ret = fast.run(args); }), want);
-        if (want.empty()) {
-            EXPECT_EQ(ret, want_ret);
+        EXPECT_EQ(fatalWhat([&] { ret = fast.run(args); }), legacy_fatal);
+        if (legacy_fatal.empty()) {
+            EXPECT_EQ(ret, legacy_ret);
+            EXPECT_EQ(legacy_ret, want_ret);
         }
-        if (policy == MisspecPolicy::Hardware) {
-            EXPECT_GT(fast.replayedRuns(), 0u);
-        } else {
+        if (leg.tracked) {
             EXPECT_EQ(fast.replayedRuns(), 0u);
+            EXPECT_EQ(code.memoCount(), 0u);
+        } else {
+            EXPECT_GT(fast.replayedRuns(), 0u);
         }
     }
     return want;

@@ -3,9 +3,10 @@
  * Targeted unit tests of the fast core engine: memo-guard divergence
  * (hot block -> cache miss or misspeculation -> hot again), memo
  * persistence across rebinds, one memo table shared by machines on
- * several threads, no memos for runs that cannot replay, fuel
- * accounting under replay, and the BITSPEC_CORE_ENGINE knob on
- * System.
+ * several threads under mixed policies, replay under every policy,
+ * no memos for runs that cannot replay and none where a run cannot
+ * replay yet, fuel accounting under replay, and the
+ * BITSPEC_CORE_ENGINE knob on System.
  *
  * Whole-workload equivalence lives in core_engine_diff_test.cc; these
  * tests construct small kernels where the divergence paths are
@@ -58,20 +59,24 @@ struct FastRun
     CacheStats l1d;
 };
 
-/** Run @p prog with @p args on both engines: same return value and
- *  observables, and FastCore took both the replay and the slow path
- *  (so at least one replayed run diverged or failed its guards). */
+/** Run @p prog with @p args on both engines under @p policy: same
+ *  return value and observables, and FastCore took both the replay
+ *  and the slow path (so at least one replayed run diverged or failed
+ *  its guards). */
 FastRun
 expectBothPathsExact(const MachProgram &prog, const Module &mod,
-                     const std::vector<uint32_t> &args)
+                     const std::vector<uint32_t> &args,
+                     MisspecPolicy policy = MisspecPolicy::Hardware)
 {
     Core legacy(prog, mod);
+    legacy.setMisspecPolicy(policy);
     uint32_t want = legacy.run(args);
 
     PredecodedProgram pre(prog);
     FastCore code(pre);
     FastMachine fast;
     fast.bind(code, mod);
+    fast.setMisspecPolicy(policy);
     EXPECT_EQ(fast.run(args), want);
     expectSameObservables(legacy, fast);
     EXPECT_GT(fast.replayedRuns(), 0u);
@@ -140,6 +145,16 @@ TEST(FastCore, HotMisspecHotStaysExact)
     CompiledProgram cp = compileModule(*mod, TargetISA::BitSpec);
     FastRun t = expectBothPathsExact(cp.program, *mod, {44});
     EXPECT_GT(t.counters.misspeculations, 0u);
+    // Forced and seeded-random checks diverge from replay exactly
+    // like natural ones: ForceFirst fires every check, Random draws
+    // in the legacy Core's order.
+    for (MisspecPolicy p :
+         {MisspecPolicy::ForceFirst, MisspecPolicy::Random}) {
+        SCOPED_TRACE(misspecPolicyName(p));
+        FastRun forced = expectBothPathsExact(cp.program, *mod, {44}, p);
+        EXPECT_GE(forced.counters.misspeculations,
+                  t.counters.misspeculations);
+    }
 
     // The squeezer never narrows a load whose address needs more than
     // 8 bits (every global lives above 64 KiB), so the speculative
@@ -185,6 +200,13 @@ TEST(FastCore, HotMisspecHotStaysExact)
         prog, *data_mod, {data.address(), 0, 256});
     EXPECT_EQ(spec.counters.misspeculations, 2u);
     EXPECT_GT(spec.l1d.misses, 0u);
+    for (MisspecPolicy p :
+         {MisspecPolicy::ForceFirst, MisspecPolicy::Random}) {
+        SCOPED_TRACE(misspecPolicyName(p));
+        FastRun forced = expectBothPathsExact(
+            prog, *data_mod, {data.address(), 0, 256}, p);
+        EXPECT_GT(forced.counters.misspeculations, 2u);
+    }
 }
 
 TEST(FastCore, ResetPreservesMemosAndStaysDeterministic)
@@ -248,9 +270,12 @@ machineRun(const FastMachine &m, uint32_t ret)
 TEST(FastCore, MachinesShareOneMemoTableAcrossThreads)
 {
     // Four threads, each with its own machine, run one FastCore at
-    // once, starting cold so that they race to build and publish the
-    // same memos. Every run must match the serial one exactly, and
-    // the table must hold exactly the memos one serial run builds.
+    // once under a mix of misspeculation policies, starting cold so
+    // that they race to build and publish the same memos. A run's
+    // path does not depend on which memos exist (a missing one is
+    // built exactly when its guard could hold), so every run must
+    // match the serial run of its policy exactly, and the table must
+    // hold exactly the memos that one serial run per policy builds.
     const char *src = R"(
         u32 data[2048];
         u32 main(u32 n) {
@@ -266,17 +291,42 @@ TEST(FastCore, MachinesShareOneMemoTableAcrossThreads)
             return h;
         }
     )";
+    // Trained on one pass, h stays 0 and squeezes to 8 bits; the
+    // six-pass run overflows it, so every policy misspeculates.
     auto mod = compileSource(src);
-    CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
+    BitwidthProfile profile;
+    profile.profileRun(*mod, "main", {1});
+    SqueezeOptions opts;
+    squeezeModule(*mod, profile, opts);
+    CompiledProgram cp = compileModule(*mod, TargetISA::BitSpec);
     PredecodedProgram pre(cp.program);
 
+    const MisspecPolicy kPolicies[] = {MisspecPolicy::Hardware,
+                                       MisspecPolicy::Random,
+                                       MisspecPolicy::ForceFirst};
     FastCore serial_code(pre);
-    FastMachine serial;
-    serial.bind(serial_code, *mod);
-    const MachineRun want = machineRun(serial, serial.run({6}));
+    MachineRun want[3];
+    uint64_t want_replays[3];
+    for (unsigned p = 0; p < 3; ++p) {
+        FastMachine serial;
+        serial.bind(serial_code, *mod);
+        serial.setMisspecPolicy(kPolicies[p]);
+        want[p] = machineRun(serial, serial.run({6}));
+        want_replays[p] = serial.replayedRuns();
+        EXPECT_GT(want[p].counters.misspeculations, 0u);
+    }
+    // The policies take different paths through the program.
+    EXPECT_NE(firstTelemetryDiff(want[1].telemetry(), want[0].telemetry()),
+              "");
+    EXPECT_NE(firstTelemetryDiff(want[2].telemetry(), want[0].telemetry()),
+              "");
 
     // A fresh table per round: each round races the cold start again.
+    // Thread t runs policy t % 3.
     constexpr unsigned kRounds = 8, kThreads = 4, kRuns = 3;
+    uint64_t replays = 0;
+    for (unsigned t = 0; t < kThreads; ++t)
+        replays += want_replays[t % 3] * kRuns;
     for (unsigned round = 0; round < kRounds; ++round) {
         SCOPED_TRACE("round " + std::to_string(round));
         FastCore code(pre);
@@ -287,6 +337,7 @@ TEST(FastCore, MachinesShareOneMemoTableAcrossThreads)
                 FastMachine m;
                 for (unsigned r = 0; r < kRuns; ++r) {
                     m.bind(code, *mod);
+                    m.setMisspecPolicy(kPolicies[t % 3]);
                     const uint32_t ret = m.run({6});
                     got[t].push_back(machineRun(m, ret));
                 }
@@ -296,43 +347,39 @@ TEST(FastCore, MachinesShareOneMemoTableAcrossThreads)
 
         for (unsigned t = 0; t < kThreads; ++t)
             for (const MachineRun &r : got[t]) {
-                EXPECT_EQ(r.ret, want.ret);
-                EXPECT_EQ(r.checksum, want.checksum);
+                SCOPED_TRACE(misspecPolicyName(kPolicies[t % 3]));
+                const MachineRun &w = want[t % 3];
+                EXPECT_EQ(r.ret, w.ret);
+                EXPECT_EQ(r.checksum, w.checksum);
                 EXPECT_EQ(
-                    firstTelemetryDiff(r.telemetry(), want.telemetry()),
+                    firstTelemetryDiff(r.telemetry(), w.telemetry()),
                     "");
             }
         EXPECT_EQ(code.memoCount(), serial_code.memoCount());
-        EXPECT_EQ(code.replayedRuns(),
-                  serial_code.replayedRuns() * kThreads * kRuns);
+        EXPECT_EQ(code.replayedRuns(), replays);
     }
 }
 
+const char *const kStateLoop = R"(
+    u32 state;
+    u32 main(u32 n) {
+        for (u32 i = 0; i < n; i++)
+            state = state * 3 + 1;
+        return state;
+    }
+)";
+
 TEST(FastCore, RunsThatCannotReplayBuildNoMemos)
 {
-    // Memos bake in the Hardware policy and bulk accounting, so runs
-    // under another policy or with counter tracks attached must leave
-    // the table empty; a Hardware run then builds and replays it.
-    const char *src = R"(
-        u32 state;
-        u32 main(u32 n) {
-            for (u32 i = 0; i < n; i++)
-                state = state * 3 + 1;
-            return state;
-        }
-    )";
-    auto mod = compileSource(src);
+    // A counter-track emitter samples per retire, which bulk replay
+    // cannot feed, so a run with tracks attached must leave the table
+    // empty; a run without them then builds and replays it.
+    auto mod = compileSource(kStateLoop);
     CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
     PredecodedProgram pre(cp.program);
     FastCore code(pre);
     FastMachine fast;
 
-    for (MisspecPolicy p :
-         {MisspecPolicy::ForceFirst, MisspecPolicy::Random}) {
-        fast.bind(code, *mod);
-        fast.setMisspecPolicy(p);
-        fast.run({32});
-    }
     CounterTrackEmitter tracks;
     fast.bind(code, *mod);
     fast.setCounterTracks(&tracks);
@@ -345,6 +392,82 @@ TEST(FastCore, RunsThatCannotReplayBuildNoMemos)
     fast.run({32});
     EXPECT_GT(code.memoCount(), 0u);
     EXPECT_GT(code.replayedRuns(), 0u);
+}
+
+TEST(FastCore, EveryMisspecPolicyBuildsAndReplaysMemos)
+{
+    // The misspeculation policy does not gate replay: ForceFirst and
+    // Random runs build and replay memos on a cold table like
+    // Hardware runs do, with the legacy Core's observables. Forced
+    // checks inside replayed bodies are HotMisspecHotStaysExact's.
+    auto mod = compileSource(kStateLoop);
+    CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
+    PredecodedProgram pre(cp.program);
+    for (MisspecPolicy p :
+         {MisspecPolicy::ForceFirst, MisspecPolicy::Random}) {
+        SCOPED_TRACE(misspecPolicyName(p));
+        Core legacy(cp.program, *mod);
+        legacy.setMisspecPolicy(p);
+        const uint32_t want = legacy.run({32});
+
+        FastCore code(pre);
+        FastMachine fast;
+        fast.bind(code, *mod);
+        fast.setMisspecPolicy(p);
+        EXPECT_EQ(fast.run({32}), want);
+        expectSameObservables(legacy, fast);
+        EXPECT_GT(code.memoCount(), 0u);
+        EXPECT_GT(code.replayedRuns(), 0u);
+    }
+}
+
+TEST(FastCore, ColdRunBuildsMemosOnlyWhereTheyCanReplay)
+{
+    // One loop whose body fills three I-lines (8 instructions each),
+    // ending in its back branch, then HALT. The first pass fetches
+    // the lines one at a time, so no mid-body suffix is resident
+    // before the pass reaches the last line; from the second pass on
+    // the whole body replays from the loop head. Building a memo at
+    // every slow-stepped index would leave 19 in the table.
+    constexpr uint32_t kLineInsts = 8, kLines = 3;
+    auto inst = [](MOp op, MOpnd dst, MOpnd a, MOpnd b) {
+        MachInst m;
+        m.op = op;
+        m.dst = dst;
+        m.a = a;
+        m.b = b;
+        return m;
+    };
+    const MOpnd r0 = MOpnd::makeReg(0), r1 = MOpnd::makeReg(1);
+    MachProgram prog;
+    // Independent adds into r2..r9 in turn: every suffix of the body
+    // is ready to replay on entry.
+    for (uint32_t k = 0; k < kLines * kLineInsts - 3; ++k)
+        prog.flat.push_back(inst(MOp::ADD, MOpnd::makeReg(2 + k % 8), r1,
+                                 MOpnd::makeImm(k)));
+    prog.flat.push_back(inst(MOp::SUB, r0, r0, MOpnd::makeImm(1)));
+    prog.flat.push_back(inst(MOp::CMP, MOpnd{}, r0, MOpnd::makeImm(0)));
+    MachInst back = inst(MOp::B, {}, {}, {});
+    back.cond = Cond::NE;
+    back.target = 0;
+    prog.flat.push_back(back);
+    prog.flat.push_back(inst(MOp::HALT, {}, {}, {}));
+    auto mod = compileSource("u32 main() { return 0; }");
+
+    Core legacy(prog, *mod);
+    const uint32_t want = legacy.run({8, 0, 1});
+    PredecodedProgram pre(prog);
+    FastCore code(pre);
+    FastMachine fast;
+    fast.bind(code, *mod);
+    EXPECT_EQ(fast.run({8, 0, 1}), want);
+    expectSameObservables(legacy, fast);
+    // The first pass is slow-stepped up to the last line.
+    EXPECT_GE(fast.slowInsts(), (kLines - 1) * kLineInsts);
+    // The loop head and one entry into the last line, which replays
+    // the rest of the first pass; the head replays the other seven.
+    EXPECT_LE(code.memoCount(), 2u);
+    EXPECT_EQ(fast.replayedRuns(), 8u);
 }
 
 TEST(FastCore, FuelGuardsAgainstRunawayUnderReplay)

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <iterator>
 #include <string>
+#include <type_traits>
 
 #include "core/system.h"
 
@@ -130,6 +131,24 @@ TEST(Telemetry, DiffNamesEveryPerturbedField)
     perturbEachWord(&RunResult::l2);
     perturbEachWord(&RunResult::dram);
     EXPECT_EQ(k, std::size(kTelemetryNames));
+}
+
+TEST(Telemetry, OutlivesTheRunItWasReadFrom)
+{
+    // A telemetry value holds copies, not references: resetting (or
+    // destroying) its source must leave it unchanged.
+    static_assert(std::is_copy_assignable_v<RunTelemetry>);
+    RunResult r;
+    r.counters.instructions = 7;
+    r.l1d.misses = 3;
+    r.dram.writes = 2;
+    const RunTelemetry t = r.telemetry();
+    r = RunResult{};
+    EXPECT_EQ(t.counters.instructions, 7u);
+    EXPECT_EQ(t.l1d.misses, 3u);
+    EXPECT_EQ(t.dram.writes, 2u);
+    EXPECT_EQ(firstTelemetryDiff(t, r.telemetry()),
+              "counters.instructions 7 != 0");
 }
 
 } // namespace
