@@ -1,43 +1,40 @@
 #include "uarch/cache.h"
 
+#include <bit>
+
 #include "support/error.h"
 
 namespace bitspec
 {
 
 Cache::Cache(uint32_t size_bytes, uint32_t assoc, uint32_t line_bytes)
-    : assoc_(assoc), lineBytes_(line_bytes)
+    : assoc_(assoc)
 {
-    bsAssert(size_bytes % (assoc * line_bytes) == 0,
+    bsAssert(assoc > 0 && line_bytes > 0 &&
+                 size_bytes % (assoc * line_bytes) == 0,
              "cache geometry must divide evenly");
-    sets_ = size_bytes / (assoc * line_bytes);
-    lines_.resize(sets_ * assoc_);
+    const uint32_t sets = size_bytes / (assoc * line_bytes);
+    bsAssert(std::has_single_bit(line_bytes) && std::has_single_bit(sets),
+             "cache line size and set count must be powers of two");
+    lineShift_ = static_cast<uint32_t>(std::countr_zero(line_bytes));
+    setShift_ = static_cast<uint32_t>(std::countr_zero(sets));
+    setMask_ = sets - 1;
+    lines_.resize(sets * assoc_);
 }
 
 bool
-Cache::access(uint32_t addr, bool is_write)
+Cache::accessOtherLine(uint32_t line_addr, bool is_write)
 {
-    ++stats_.accesses;
-    ++tick_;
-    uint32_t line_addr = addr / lineBytes_;
-    // Same-line fast path: sequential fetch and streaming data hit
-    // the line they just touched; skip the way search.
-    if (line_addr == lastLineAddr_) {
-        Line &l = lines_[lastIdx_];
-        l.lastUse = tick_;
-        l.dirty |= is_write;
-        return true;
-    }
-    uint32_t set = line_addr % sets_;
-    uint32_t tag = line_addr / sets_;
-    Line *ways = &lines_[set * assoc_];
+    const uint32_t base = setBase(line_addr);
+    const uint32_t tag = tagOf(line_addr);
+    Line *ways = &lines_[base];
 
     for (uint32_t w = 0; w < assoc_; ++w) {
         if (ways[w].valid && ways[w].tag == tag) {
             ways[w].lastUse = tick_;
             ways[w].dirty |= is_write;
             lastLineAddr_ = line_addr;
-            lastIdx_ = set * assoc_ + w;
+            lastIdx_ = base + w;
             return true;
         }
     }
@@ -61,36 +58,28 @@ Cache::access(uint32_t addr, bool is_write)
     // at the line just installed so it can never reference a stale
     // (line_addr, index) pair.
     lastLineAddr_ = line_addr;
-    lastIdx_ = set * assoc_ + victim;
+    lastIdx_ = base + victim;
     return false;
 }
 
 bool
 Cache::peek(uint32_t addr) const
 {
-    uint32_t line_addr = addr / lineBytes_;
+    const uint32_t line_addr = addr >> lineShift_;
     // The memoized line is resident by invariant; no state to update.
-    if (line_addr == lastLineAddr_)
-        return true;
-    uint32_t set = line_addr % sets_;
-    uint32_t tag = line_addr / sets_;
-    const Line *ways = &lines_[set * assoc_];
-    for (uint32_t w = 0; w < assoc_; ++w)
-        if (ways[w].valid && ways[w].tag == tag)
-            return true;
-    return false;
+    return line_addr == lastLineAddr_ || residentSlotOf(addr) >= 0;
 }
 
 int32_t
 Cache::residentSlotOf(uint32_t addr) const
 {
-    uint32_t line_addr = addr / lineBytes_;
-    uint32_t set = line_addr % sets_;
-    uint32_t tag = line_addr / sets_;
-    const Line *ways = &lines_[set * assoc_];
+    const uint32_t line_addr = addr >> lineShift_;
+    const uint32_t base = setBase(line_addr);
+    const uint32_t tag = tagOf(line_addr);
+    const Line *ways = &lines_[base];
     for (uint32_t w = 0; w < assoc_; ++w)
         if (ways[w].valid && ways[w].tag == tag)
-            return static_cast<int32_t>(set * assoc_ + w);
+            return static_cast<int32_t>(base + w);
     return -1;
 }
 
@@ -105,31 +94,19 @@ Cache::commitHitsAt(uint32_t slot, uint64_t count)
 void
 Cache::commitHits(uint32_t addr, uint64_t count)
 {
-    uint32_t line_addr = addr / lineBytes_;
-    if (line_addr == lastLineAddr_) {
-        // Replayed blocks commit the same line(s) back to back; skip
-        // the way search like access() does.
-        stats_.accesses += count;
-        tick_ += count;
-        lines_[lastIdx_].lastUse = tick_;
-        return;
-    }
-    uint32_t set = line_addr % sets_;
-    uint32_t tag = line_addr / sets_;
-    Line *ways = &lines_[set * assoc_];
-    for (uint32_t w = 0; w < assoc_; ++w) {
-        if (ways[w].valid && ways[w].tag == tag) {
-            stats_.accesses += count;
-            tick_ += count;
-            // count back-to-back hits leave lastUse at the final
-            // tick, exactly as the per-access loop would.
-            ways[w].lastUse = tick_;
-            lastLineAddr_ = line_addr;
-            lastIdx_ = set * assoc_ + w;
-            return;
-        }
-    }
-    panic("commitHits: line not resident");
+    const uint32_t line_addr = addr >> lineShift_;
+    // Replayed blocks commit the same line(s) back to back; skip the
+    // way search like access() does.
+    const int32_t slot = line_addr == lastLineAddr_
+                             ? static_cast<int32_t>(lastIdx_)
+                             : residentSlotOf(addr);
+    if (slot < 0)
+        panic("commitHits: line not resident");
+    // count back-to-back hits leave lastUse at the final tick, exactly
+    // as the per-access loop would.
+    commitHitsAt(static_cast<uint32_t>(slot), count);
+    lastLineAddr_ = line_addr;
+    lastIdx_ = static_cast<uint32_t>(slot);
 }
 
 MemoryHierarchy::MemoryHierarchy()
@@ -157,20 +134,12 @@ MemoryHierarchy::fetch(uint32_t addr)
     return missPath(addr, false);
 }
 
-uint32_t
-MemoryHierarchy::data(uint32_t addr, bool is_write)
-{
-    if (l1d_.access(addr, is_write))
-        return 0;
-    return missPath(addr, is_write);
-}
-
 bool
 MemoryHierarchy::fetchRangeResident(uint32_t first_addr,
                                     uint32_t last_addr) const
 {
     const uint32_t line = l1i_.lineBytes();
-    for (uint32_t la = first_addr - first_addr % line;
+    for (uint32_t la = first_addr & ~(line - 1);
          la <= last_addr; la += line)
         if (!l1i_.peek(la))
             return false;
@@ -189,7 +158,7 @@ MemoryHierarchy::fetchRangeCommit(uint32_t first_addr,
                                   uint32_t last_addr, uint64_t repeat)
 {
     const uint32_t line = l1i_.lineBytes();
-    for (uint32_t la = first_addr - first_addr % line;
+    for (uint32_t la = first_addr & ~(line - 1);
          la <= last_addr; la += line) {
         uint32_t lo = la < first_addr ? first_addr : la;
         uint32_t hi_line = la + line - 1;
@@ -207,7 +176,7 @@ MemoryHierarchy::fetchRangePin(uint32_t first_addr,
     pin.gen = l1i_.fillGen();
     pin.cnt = 0;
     uint32_t n = 0;
-    for (uint32_t la = first_addr - first_addr % line;
+    for (uint32_t la = first_addr & ~(line - 1);
          la <= last_addr; la += line) {
         if (n == FetchPin::kMaxLines)
             return; // cnt stays 0: footprint too wide to pin.

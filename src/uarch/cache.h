@@ -38,14 +38,32 @@ BITSPEC_FIELD_TABLE(
 class Cache
 {
   public:
+    /** The line size and the set count (@p size_bytes over
+     *  @p assoc * @p line_bytes) must be powers of two: lines and
+     *  sets are indexed by shift and mask. */
     Cache(uint32_t size_bytes, uint32_t assoc, uint32_t line_bytes);
 
     /**
      * Access @p addr; returns true on hit. Misses fill the line
      * (write-allocate); evicted dirty lines count as writebacks.
-     * @p is_write marks the line dirty.
+     * @p is_write marks the line dirty. A hit on the line touched
+     * last (sequential fetch, streaming data) is inline; the way
+     * search and the fill are not.
      */
-    bool access(uint32_t addr, bool is_write);
+    bool
+    access(uint32_t addr, bool is_write)
+    {
+        ++stats_.accesses;
+        ++tick_;
+        const uint32_t line_addr = addr >> lineShift_;
+        if (line_addr == lastLineAddr_) {
+            Line &l = lines_[lastIdx_];
+            l.lastUse = tick_;
+            l.dirty |= is_write;
+            return true;
+        }
+        return accessOtherLine(line_addr, is_write);
+    }
 
     /** True when the line holding @p addr is resident. Pure probe: no
      *  stats, no LRU update (the fast engine's replay guard). */
@@ -76,7 +94,7 @@ class Cache
 
     const CacheStats &stats() const { return stats_; }
     void resetStats() { stats_ = CacheStats{}; }
-    uint32_t lineBytes() const { return lineBytes_; }
+    uint32_t lineBytes() const { return 1u << lineShift_; }
 
   private:
     struct Line
@@ -87,10 +105,24 @@ class Cache
         uint64_t lastUse = 0;
     };
 
-    uint32_t sets_;
+    /** access() past the same-line hit: way search, then the fill
+     *  on a miss. Stats and the clock are already bumped. */
+    bool accessOtherLine(uint32_t line_addr, bool is_write);
+    /** Index in lines_ of the first way of @p line_addr's set. */
+    uint32_t setBase(uint32_t line_addr) const
+    {
+        return (line_addr & setMask_) * assoc_;
+    }
+    uint32_t tagOf(uint32_t line_addr) const
+    {
+        return line_addr >> setShift_;
+    }
+
     uint32_t assoc_;
-    uint32_t lineBytes_;
-    std::vector<Line> lines_; ///< sets_ * assoc_, row-major by set.
+    uint32_t lineShift_; ///< log2(line bytes): addr >> it = line address.
+    uint32_t setShift_;  ///< log2(sets): line address >> it = tag.
+    uint32_t setMask_;   ///< sets - 1: line address & it = set.
+    std::vector<Line> lines_; ///< sets * assoc_, row-major by set.
     uint64_t tick_ = 0;
     uint64_t fillGen_ = 0;
     CacheStats stats_;
@@ -125,7 +157,13 @@ class MemoryHierarchy
 
     /** Data access; returns the added stall cycles beyond the L1 hit
      *  pipeline latency. */
-    uint32_t data(uint32_t addr, bool is_write);
+    uint32_t
+    data(uint32_t addr, bool is_write)
+    {
+        if (l1d_.access(addr, is_write))
+            return 0;
+        return missPath(addr, is_write);
+    }
 
     /** True when every I-line covering [@p first_addr, @p last_addr]
      *  is L1I-resident (no state change; fast-engine replay guard). */

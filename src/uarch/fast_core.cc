@@ -1,6 +1,7 @@
 #include "uarch/fast_core.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "obs/attribution.h"
@@ -69,6 +70,13 @@ addScaledDelta(ActivityCounters &c, const ActivityCounters &d,
             c.*f.member += d.*f.member * n;
 }
 
+/** The legacy out-of-bounds fatal, kept off the inline access path. */
+[[noreturn, gnu::cold, gnu::noinline]] void
+outOfBounds(const char *access, uint32_t addr)
+{
+    fatal(strFormat("machine %s out of bounds at 0x%x", access, addr));
+}
+
 } // namespace
 
 FastCore::FastCore(const PredecodedProgram &pre)
@@ -131,24 +139,29 @@ FastMachine::condHolds(Cond c) const
     panic("condHolds: bad cond");
 }
 
-uint32_t
+// Simulated memory is little-endian: loadData/storeData copy the
+// low bytes of a host word, which are its low-order bytes only on a
+// little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "FastMachine memory copies assume a little-endian host");
+
+[[gnu::always_inline]] inline uint32_t
 FastMachine::loadData(uint32_t addr, unsigned bytes)
 {
+    // 64-bit sum: addr + bytes must not wrap past the check.
     if (static_cast<uint64_t>(addr) + bytes > dataMem_.size())
-        fatal(strFormat("machine load out of bounds at 0x%x", addr));
+        outOfBounds("load", addr);
     uint32_t v = 0;
-    for (unsigned b = 0; b < bytes; ++b)
-        v |= static_cast<uint32_t>(dataMem_[addr + b]) << (8 * b);
+    std::memcpy(&v, dataMem_.data() + addr, bytes);
     return v;
 }
 
-void
+[[gnu::always_inline]] inline void
 FastMachine::storeData(uint32_t addr, uint32_t value, unsigned bytes)
 {
     if (static_cast<uint64_t>(addr) + bytes > dataMem_.size())
-        fatal(strFormat("machine store out of bounds at 0x%x", addr));
-    for (unsigned b = 0; b < bytes; ++b)
-        dataMem_[addr + b] = static_cast<uint8_t>(value >> (8 * b));
+        outOfBounds("store", addr);
+    std::memcpy(dataMem_.data() + addr, &value, bytes);
 }
 
 void
@@ -222,7 +235,6 @@ FastCore::buildMemo(uint32_t start) const
 
     uint64_t rel = 0;           // Cycle offset from run entry.
     uint64_t relReady[16] = {}; // Scoreboard offsets.
-    uint16_t writtenMask = 0;
     uint32_t maxReadyOff = 0;
 
     m.per.reserve(end - start);
@@ -237,9 +249,8 @@ FastCore::buildMemo(uint32_t start) const
         rel += 1; // Fetch, assumed L1I hit (entry guard).
 
         // In-order issue stall under the schedule's entry assumption:
-        // registers not yet written in-run are ready at entry.
-        m.entryReadyMask |=
-            static_cast<uint16_t>(p.readyMask & ~writtenMask);
+        // registers not yet written in-run (entryReadyMask) are ready
+        // at entry.
         uint64_t ready = 0;
         for (uint32_t bits = p.readyMask; bits; bits &= bits - 1) {
             uint64_t r =
@@ -254,14 +265,14 @@ FastCore::buildMemo(uint32_t start) const
             pi.writeReg = static_cast<uint8_t>(p.dst.reg);
             pi.readyOff = pi.issueOff + p.latency;
             relReady[p.dst.reg] = pi.readyOff;
-            writtenMask |= static_cast<uint16_t>(1u << p.dst.reg);
             maxReadyOff = std::max(maxReadyOff, pi.readyOff);
         } else if (p.kind == PKind::MovCond) {
-            // The write commits only when the condition holds, so dst
-            // stays out of writtenMask (a false condition leaves the
-            // entry-time value live) — but issue+1 is schedule-exact
-            // either way: dst readiness was consulted at issue, so
-            // both candidate values are <= any later consult.
+            // The write commits only when the condition holds, so it
+            // does not take dst out of the entry-ready mask (a false
+            // condition leaves the entry-time value live) — but
+            // issue+1 is schedule-exact either way: dst readiness was
+            // consulted at issue, so both candidate values are <= any
+            // later consult.
             relReady[p.dst.reg] = rel + 1;
             maxReadyOff = std::max(maxReadyOff,
                                    static_cast<uint32_t>(rel + 1));
@@ -288,6 +299,7 @@ FastCore::buildMemo(uint32_t start) const
     ++m.delta.instructions;
 
     m.len = end - start;
+    m.entryReadyMask = pre_.entryReadyMask(start);
     m.bodyCycles = rel;
     m.maxReadyOff = maxReadyOff;
     m.fuelCost = m.len + 1;
@@ -313,46 +325,62 @@ FastCore::translateOp(const PInst &p, const RunMemo::PerInst &pi)
     r.dst = p.dst.reg;
     r.a = p.a.reg;
     r.b = p.b.reg;
+    // Slice shifts are multiples of 8 (0 for registers and
+    // immediates), so they pack two bits each.
+    r.slices = static_cast<uint8_t>(p.dst.shift / 8 |
+                                    p.a.shift / 8 << 2 |
+                                    p.b.shift / 8 << 4);
 
     auto fullReg = [](const POpnd &o) {
         return !o.isImm && o.shift == 0 && o.mask == 0xffffffffu;
     };
     // Specialization requires a full-register (or absent) destination
     // and full-register/immediate sources: the micro-op then reads
-    // and writes the register file directly, no slice merges.
+    // and writes the register file directly, no slice merges. The
+    // 8-bit micro-ops name their slices in r.slices instead.
     const bool dstFull = p.dstWrite == 1 && p.dst.shift == 0 &&
                          p.dst.mask == 0xffffffffu;
     const bool aR = fullReg(p.a), bR = fullReg(p.b);
     const bool aI = p.a.isImm, bI = p.b.isImm;
+
+    // reg-op-reg or reg-op-imm; imm-op-reg folds to reg-op-imm, so
+    // only commutative operations use it.
+    auto commutative = [&](ROp::K rr, ROp::K ri) {
+        if (aR && bR) {
+            r.op = rr;
+        } else if (aR && bI) {
+            r.op = ri;
+            r.imm = p.b.imm;
+        } else if (aI && bR) {
+            r.op = ri;
+            r.a = p.b.reg;
+            r.imm = p.a.imm;
+        }
+    };
+    // Memory micro-ops address regs[a] + regs[b] + imm: reg+reg has
+    // imm 0, and reg+imm reads the zero register as b.
+    auto address = [&](ROp::K k) {
+        commutative(k, k);
+        if (r.op == k && !(aR && bR))
+            r.b = kZeroReg;
+    };
 
     switch (p.kind) {
       case PKind::AluAdd:
       case PKind::AluAnd:
       case PKind::AluOrr:
       case PKind::AluEor:
-      case PKind::Mul: {
+      case PKind::Mul:
         if (!dstFull)
             break;
-        ROp::K rr, ri;
         switch (p.kind) {
-          case PKind::AluAdd: rr = ROp::kAddRR; ri = ROp::kAddRI; break;
-          case PKind::AluAnd: rr = ROp::kAndRR; ri = ROp::kAndRI; break;
-          case PKind::AluOrr: rr = ROp::kOrrRR; ri = ROp::kOrrRI; break;
-          case PKind::AluEor: rr = ROp::kEorRR; ri = ROp::kEorRI; break;
-          default:            rr = ROp::kMulRR; ri = ROp::kMulRI; break;
-        }
-        if (aR && bR) {
-            r.op = rr;
-        } else if (aR && bI) {
-            r.op = ri;
-            r.imm = p.b.imm;
-        } else if (aI && bR) { // Commutative: fold as reg-op-imm.
-            r.op = ri;
-            r.a = p.b.reg;
-            r.imm = p.a.imm;
+          case PKind::AluAdd: commutative(ROp::kAddRR, ROp::kAddRI); break;
+          case PKind::AluAnd: commutative(ROp::kAndRR, ROp::kAndRI); break;
+          case PKind::AluOrr: commutative(ROp::kOrrRR, ROp::kOrrRI); break;
+          case PKind::AluEor: commutative(ROp::kEorRR, ROp::kEorRI); break;
+          default:            commutative(ROp::kMulRR, ROp::kMulRI); break;
         }
         break;
-      }
       case PKind::AluSub:
         if (!dstFull)
             break;
@@ -438,31 +466,37 @@ FastCore::translateOp(const PInst &p, const RunMemo::PerInst &pi)
             r.op = ROp::kUxth;
         break;
       case PKind::Uxt8:
-        if (dstFull && aR)
+        if (dstFull && !aI) // A register or a slice.
             r.op = ROp::kUxt8;
         break;
       case PKind::Sxt8:
-        if (dstFull && aR)
+        if (dstFull && !aI)
             r.op = ROp::kSxt8;
         break;
-      case PKind::Load:
-        // Word loads with full-register addressing: the dominant
-        // generic op left on hot paths. Sub-word and slice loads stay
-        // Generic.
-        if (!dstFull || p.aux != 4)
-            break;
-        if (aR && bR) {
-            r.op = ROp::kLoadWRR;
-        } else if (aR && bI) {
-            r.op = ROp::kLoadWRI;
-            r.imm = p.b.imm;
-        } else if (aI && bR) {
-            r.op = ROp::kLoadWRI;
-            r.a = p.b.reg;
-            r.imm = p.a.imm;
+      case PKind::Cmp8:
+        // Registers or slices against registers, slices or an
+        // immediate.
+        if (!aI && !bI) {
+            r.op = ROp::kCmp8RR;
+        } else if (!aI) {
+            r.op = ROp::kCmp8RI;
+            r.imm = p.b.imm & 0xff;
         }
         break;
-      default: // Memory, 8-bit slice, conditional, rare: Generic.
+      case PKind::Load:
+        // Word loads into a register, byte loads into a slice.
+        // Sub-word loads into a register stay Generic.
+        if (dstFull && p.aux == 4)
+            address(ROp::kLoadW);
+        else if (p.dstWrite == 2 && p.aux == 1)
+            address(ROp::kLoadB8);
+        break;
+      case PKind::Store:
+        // Word stores of a register; sub-word stores stay Generic.
+        if (p.aux == 4 && fullReg(p.dst))
+            address(ROp::kStoreW);
+        break;
+      default: // Speculative, slice-writing, conditional, rare: Generic.
         break;
     }
     if (r.op == ROp::kGeneric)
@@ -487,11 +521,11 @@ FastCore::buildMemoAt(uint32_t idx)
 }
 
 bool
-FastMachine::entryReady(const RunMemo &m) const
+FastMachine::entryReady(uint16_t mask) const
 {
     if (maxReady_ <= cycle_)
         return true;
-    for (uint32_t bits = m.entryReadyMask; bits; bits &= bits - 1)
+    for (uint32_t bits = mask; bits; bits &= bits - 1)
         if (readyAt_[__builtin_ctz(bits)] > cycle_)
             return false;
     return true;
@@ -927,26 +961,46 @@ FastMachine::replay(const RunMemo &m0)
                 regs[r.dst] = regs[r.a] & 0xffff;
                 break;
               case RunMemo::ROp::kUxt8:
-                regs[r.dst] = regs[r.a] & 0xff;
+                regs[r.dst] = regs[r.a] >> r.aShift() & 0xff;
                 break;
               case RunMemo::ROp::kSxt8:
                 regs[r.dst] = static_cast<uint32_t>(
-                    sextFrom(regs[r.a] & 0xff, 8));
+                    sextFrom(regs[r.a] >> r.aShift() & 0xff, 8));
                 break;
-              case RunMemo::ROp::kLoadWRR:
-              case RunMemo::ROp::kLoadWRI: {
-                uint32_t addr =
-                    regs[r.a] + (r.op == RunMemo::ROp::kLoadWRR
-                                     ? regs[r.b]
-                                     : r.imm);
-                uint32_t stall = mem_.data(addr, false);
-                if (static_cast<uint64_t>(addr) + 4 > dataMem_.size())
-                    loadData(addr, 4); // Same out-of-bounds fatal.
-                uint32_t v;
-                std::memcpy(&v, dataMem_.data() + addr, 4);
-                regs[r.dst] = v;
+              case RunMemo::ROp::kCmp8RR:
+                setFlagsSub(regs[r.a] >> r.aShift() & 0xff,
+                            regs[r.b] >> r.bShift() & 0xff, 8);
+                break;
+              case RunMemo::ROp::kCmp8RI:
+                setFlagsSub(regs[r.a] >> r.aShift() & 0xff, r.imm, 8);
+                break;
+              // The memory micro-ops access the D-cache before the
+              // bounds check, like execute(), and leave through
+              // diverge() on a stall with the access done.
+              case RunMemo::ROp::kLoadW: {
+                const uint32_t addr = regs[r.a] + regs[r.b] + r.imm;
+                const uint32_t stall = mem_.data(addr, false);
+                regs[r.dst] = loadData(addr, 4);
                 if (stall)
                     return diverge(*mp, i, Outcome{stall, true});
+                break;
+              }
+              case RunMemo::ROp::kLoadB8: {
+                const uint32_t addr = regs[r.a] + regs[r.b] + r.imm;
+                const uint32_t stall = mem_.data(addr, false);
+                const uint32_t sh = r.dstShift();
+                regs[r.dst] = (regs[r.dst] & ~(0xffu << sh)) |
+                              loadData(addr, 1) << sh;
+                if (stall)
+                    return diverge(*mp, i, Outcome{stall, true});
+                break;
+              }
+              case RunMemo::ROp::kStoreW: {
+                const uint32_t addr = regs[r.a] + regs[r.b] + r.imm;
+                const uint32_t stall = mem_.data(addr, true);
+                storeData(addr, regs[r.dst], 4);
+                if (stall)
+                    return diverge(*mp, i, Outcome{stall, false});
                 break;
               }
               default: { // kGeneric.
@@ -993,7 +1047,7 @@ FastMachine::replay(const RunMemo &m0)
             return next;
         const RunMemo *n = code_->memoIfBuilt(next);
         if (!n || !n->eligible || executed_ + n->fuelCost > fuel_ ||
-            !entryReady(*n) || !fetchGuard(*n))
+            !entryReady(n->entryReadyMask) || !fetchGuard(*n))
             return next;
         mp = n;
     }
@@ -1087,19 +1141,21 @@ FastMachine::run(const std::vector<uint32_t> &args)
     for (;;) {
         if (idx >= size)
             fatal(strFormat("PC out of code range: index %u", idx));
-        // A memo is built on the first visit where its fetch guard
-        // can hold: with a later I-line of the run not yet resident,
-        // it could not replay on this visit anyway.
+        // A memo is built on the first visit where its entry and
+        // fetch guards can hold: with an entry register not ready or
+        // a later I-line of the run not yet resident, it could not
+        // replay on this visit anyway.
         const RunMemo *m = nullptr;
         if (replayable) {
             m = code_->memoIfBuilt(idx);
-            if (!m && mem_.fetchRangeResident(
-                          prog_->addrOf(idx),
-                          prog_->addrOf(pre_->runEnd(idx))))
+            if (!m && entryReady(pre_->entryReadyMask(idx)) &&
+                mem_.fetchRangeResident(
+                    prog_->addrOf(idx),
+                    prog_->addrOf(pre_->runEnd(idx))))
                 m = &code_->buildMemoAt(idx);
         }
         if (m && m->eligible && executed_ + m->fuelCost <= fuel_ &&
-            entryReady(*m) && fetchGuard(*m)) {
+            entryReady(m->entryReadyMask) && fetchGuard(*m)) {
             idx = replay(*m);
         } else {
             idx = slowStep(idx);

@@ -64,10 +64,11 @@ class CounterTrackEmitter;
 /**
  * The fast engine of one program: its pre-decoded code and the memo
  * table every run of it shares, plus cumulative counts. Memos are
- * built lazily, on the first visit to a site whose whole run is
- * L1I-resident (the first visit where it could replay), and published
- * once; after publication a RunMemo never changes, so any number of
- * FastMachines (one per thread) may run the same FastCore at once.
+ * built lazily, on the first visit to a site whose entry registers
+ * are ready and whose whole run is L1I-resident (the first visit
+ * where it could replay), and published once; after publication a
+ * RunMemo never changes, so any number of FastMachines (one per
+ * thread) may run the same FastCore at once.
  */
 class FastCore
 {
@@ -80,6 +81,10 @@ class FastCore
      *  stores index it for instructions with no scoreboard write, so
      *  the store is unconditional. Never read. */
     static constexpr uint32_t kScratchReg = 16;
+    /** Slot past the architectural registers in the register file:
+     *  always zero, the b operand of reg+imm memory micro-ops. Never
+     *  written. */
+    static constexpr uint32_t kZeroReg = 16;
 
     /** @p pre (and the MachProgram it wraps) must outlive the core. */
     explicit FastCore(const PredecodedProgram &pre);
@@ -126,10 +131,12 @@ class FastCore
          *  is counted live). */
         ActivityCounters delta;
         /** Compact replay micro-op, one per body instruction:
-         *  full-width register/flag operations are pre-resolved to
-         *  direct register-file ops; anything that can diverge, touch
-         *  memory or write a sub-register slice stays Generic and
-         *  runs execute(). */
+         *  full-width register/flag operations, word loads and
+         *  stores, byte loads into a slice, and Uxt8/Cmp8 of slices
+         *  are pre-resolved to direct register-file and memory ops;
+         *  speculative checks, sub-word and slice-writing ALU ops,
+         *  conditional moves and the rare kinds stay Generic and run
+         *  execute(). */
         struct ROp
         {
             enum K : uint8_t
@@ -141,7 +148,9 @@ class FastCore
                 kMulRR, kMulRI, kMovR, kMovI, kMvnR, kMovtI,
                 kCmpRR, kCmpRI, kCmpIR,
                 kSetcc, kSxth, kUxth, kUxt8, kSxt8,
-                kLoadWRR, kLoadWRI,
+                kCmp8RR, kCmp8RI,
+                /** Memory: address regs[a] + regs[b] + imm. */
+                kLoadW, kLoadB8, kStoreW,
             };
             uint8_t op = kGeneric;
             uint8_t dst = 0, a = 0, b = 0;
@@ -150,7 +159,15 @@ class FastCore
             uint32_t imm = 0;
             uint16_t readyOff = 0;  ///< PerInst::readyOff, compact.
             uint8_t writeReg = kScratchReg; ///< PerInst::writeReg.
+            /** Slice index (shift / 8) of dst, a and b, two bits
+             *  each from bit 0; 0 for a full register. */
+            uint8_t slices = 0;
+
+            uint32_t dstShift() const { return (slices & 3) * 8; }
+            uint32_t aShift() const { return (slices >> 2 & 3) * 8; }
+            uint32_t bShift() const { return (slices >> 4 & 3) * 8; }
         };
+        static_assert(sizeof(ROp) == 12, "one ROp per 12 bytes");
 
         struct PerInst
         {
@@ -294,7 +311,8 @@ class FastMachine
     void setFlagsSub(uint64_t a, uint64_t b, unsigned bits);
     void emitOut(uint64_t v);
 
-    bool entryReady(const RunMemo &m) const;
+    /** True when every register in @p mask is ready at cycle_. */
+    bool entryReady(uint16_t mask) const;
 
     /** What execute() did beyond the functional work. */
     struct Outcome
@@ -350,7 +368,8 @@ class FastMachine
     const PredecodedProgram *pre_ = nullptr;
     const MachProgram *prog_ = nullptr;
     ZeroedPages dataMem_;
-    uint32_t regs_[16] = {};
+    /** r0..r15, then the kZeroReg slot. */
+    uint32_t regs_[17] = {};
     Flags flags_;
     uint32_t delta_ = 0;
     bool classicMode_ = false;

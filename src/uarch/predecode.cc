@@ -323,12 +323,24 @@ PredecodedProgram::PredecodedProgram(const MachProgram &prog)
     insts_.reserve(prog.flat.size());
     for (const MachInst &inst : prog.flat)
         insts_.push_back(decodeInst(inst));
+    // One backward pass: a run from i consults what i reads, plus
+    // what the run from i + 1 consults and i does not write first.
     uint32_t end = static_cast<uint32_t>(insts_.size());
+    uint16_t ready = 0;
     runEnd_.resize(insts_.size());
+    entryReady_.resize(insts_.size());
     for (uint32_t i = end; i-- > 0;) {
-        if (isTerminator(insts_[i].kind))
+        const PInst &p = insts_[i];
+        if (isTerminator(p.kind)) {
             end = i;
+            ready = 0;
+        } else {
+            const uint16_t written =
+                p.dstWrite ? static_cast<uint16_t>(1u << p.dst.reg) : 0;
+            ready = static_cast<uint16_t>(p.readyMask | (ready & ~written));
+        }
         runEnd_[i] = end;
+        entryReady_[i] = ready;
     }
 }
 

@@ -131,10 +131,21 @@ class PredecodedProgram
      *  first. */
     uint32_t runEnd(uint32_t idx) const { return runEnd_[idx]; }
 
+    /** Registers the straight-line run [@p idx, runEnd(@p idx))
+     *  consults at issue before writing them (bit r for register r):
+     *  the ones a replay of it from @p idx assumes ready on entry.
+     *  Conditional moves count as reads only, since their write may
+     *  not happen. */
+    uint16_t entryReadyMask(uint32_t idx) const
+    {
+        return entryReady_[idx];
+    }
+
   private:
     const MachProgram &prog_;
     std::vector<PInst> insts_;
     std::vector<uint32_t> runEnd_;
+    std::vector<uint16_t> entryReady_;
 };
 
 } // namespace bitspec

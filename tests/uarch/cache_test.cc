@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <list>
+#include <vector>
+
 #include "support/error.h"
+#include "support/rng.h"
 #include "uarch/cache.h"
 
 namespace bitspec
@@ -170,6 +174,115 @@ TEST(Hierarchy, FetchRangeResidentNeedsEveryLine)
     EXPECT_TRUE(m.fetchRangeResident(0x400000, 0x40001c));
     // Range extends into the next, unfetched line.
     EXPECT_FALSE(m.fetchRangeResident(0x400000, 0x400020));
+}
+
+TEST(Cache, RejectsNonPowerOfTwoGeometry)
+{
+    // Lines and sets are indexed by shift and mask.
+    EXPECT_THROW(Cache(24 * 4 * 32, 4, 32), PanicError); // 24 sets.
+    EXPECT_THROW(Cache(64 * 4 * 48, 4, 48), PanicError); // 48 B lines.
+    EXPECT_THROW(Cache(1000, 4, 32), PanicError);        // Uneven.
+    // The associativity is free: 3 ways of 64 sets.
+    Cache three(3 * 64 * 32, 3, 32);
+    EXPECT_FALSE(three.access(0x1000, false));
+    EXPECT_TRUE(three.access(0x1000, false));
+}
+
+/** Reference write-back LRU cache by division and modulo: per set, a
+ *  recency list of (tag, dirty), most recent first. */
+class RefCache
+{
+  public:
+    RefCache(uint32_t size_bytes, uint32_t assoc, uint32_t line_bytes)
+        : assoc_(assoc), lineBytes_(line_bytes),
+          sets_(size_bytes / (assoc * line_bytes))
+    {
+        lru_.resize(sets_);
+    }
+
+    bool
+    access(uint32_t addr, bool is_write)
+    {
+        ++stats.accesses;
+        const uint32_t line = addr / lineBytes_;
+        const uint32_t tag = line / sets_;
+        std::list<Way> &set = lru_[line % sets_];
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (it->tag == tag) {
+                Way hit{tag, it->dirty || is_write};
+                set.erase(it);
+                set.push_front(hit);
+                return true;
+            }
+        }
+        ++stats.misses;
+        ++fills;
+        if (set.size() == assoc_) {
+            if (set.back().dirty)
+                ++stats.writebacks;
+            set.pop_back();
+        }
+        set.push_front(Way{tag, is_write});
+        return false;
+    }
+
+    CacheStats stats;
+    uint64_t fills = 0;
+
+  private:
+    struct Way
+    {
+        uint32_t tag;
+        bool dirty;
+    };
+    uint32_t assoc_, lineBytes_, sets_;
+    std::vector<std::list<Way>> lru_;
+};
+
+TEST(Cache, MatchesDivModLruReferenceOnRandomStream)
+{
+    struct Geometry
+    {
+        uint32_t size, assoc, line;
+    };
+    for (Geometry g : {Geometry{8 * 1024, 4, 32},
+                       Geometry{256 * 1024, 8, 32},
+                       Geometry{3 * 16 * 64, 3, 64},
+                       Geometry{512, 1, 16}}) {
+        SCOPED_TRACE(std::to_string(g.size) + "/" +
+                     std::to_string(g.assoc) + "/" +
+                     std::to_string(g.line));
+        Cache cache(g.size, g.assoc, g.line);
+        RefCache ref(g.size, g.assoc, g.line);
+        Rng rng(0xcac4e + g.size + g.assoc);
+        // A mix of streaming runs, reuse of recent lines, and random
+        // addresses over a range 8x the cache: hits on the same and
+        // on other lines, conflict misses and dirty evictions.
+        uint32_t addr = 0;
+        std::vector<uint32_t> recent(16, 0);
+        for (int i = 0; i < 200000; ++i) {
+            const uint64_t pick = rng.nextBelow(10);
+            if (pick < 4)
+                addr += static_cast<uint32_t>(rng.nextBelow(8));
+            else if (pick < 7)
+                addr = recent[rng.nextBelow(recent.size())] +
+                       static_cast<uint32_t>(rng.nextBelow(g.line));
+            else
+                addr = static_cast<uint32_t>(rng.nextBelow(8 * g.size));
+            recent[i % recent.size()] = addr;
+            const bool is_write = rng.nextBelow(3) == 0;
+            ASSERT_EQ(cache.access(addr, is_write),
+                      ref.access(addr, is_write))
+                << "access " << i << " at 0x" << std::hex << addr;
+        }
+        EXPECT_EQ(cache.stats().accesses, ref.stats.accesses);
+        EXPECT_EQ(cache.stats().misses, ref.stats.misses);
+        EXPECT_EQ(cache.stats().writebacks, ref.stats.writebacks);
+        EXPECT_EQ(cache.fillGen(), ref.fills);
+        EXPECT_GT(ref.stats.writebacks, 0u);
+        EXPECT_GT(ref.stats.accesses - ref.stats.misses,
+                  ref.stats.misses);
+    }
 }
 
 } // namespace

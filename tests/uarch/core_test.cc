@@ -191,7 +191,8 @@ memProbeProgram(MOp op, uint32_t addr)
  *  r0 by r1 and counting r2 passes down, then HALT. Run with
  *  {0, addr, 2}: the first pass touches address 0 and warms the
  *  loop's I-line, so FastCore under the Hardware policy replays the
- *  second pass, which touches @c addr. */
+ *  second pass, which touches @c addr. The data operand is r3, or
+ *  its byte 1 for the slice forms LDRB8/STRB8. */
 MachProgram
 memLoopProgram(MOp op)
 {
@@ -205,8 +206,11 @@ memLoopProgram(MOp op)
     };
     const MOpnd r0 = MOpnd::makeReg(0), r1 = MOpnd::makeReg(1),
                 r2 = MOpnd::makeReg(2), r3 = MOpnd::makeReg(3);
+    const MOpnd data = op == MOp::LDRB8 || op == MOp::STRB8
+                           ? MOpnd::makeSlice(3, 1)
+                           : r3;
     MachProgram prog;
-    prog.flat.push_back(inst(op, r3, r0, MOpnd::makeImm(0)));
+    prog.flat.push_back(inst(op, data, r0, MOpnd::makeImm(0)));
     prog.flat.push_back(inst(MOp::ADD, r0, r0, r1));
     prog.flat.push_back(inst(MOp::SUB, r2, r2, MOpnd::makeImm(1)));
     prog.flat.push_back(inst(MOp::CMP, MOpnd{}, r2, MOpnd::makeImm(0)));
@@ -341,6 +345,34 @@ TEST(Core, StraddlingAccessAtMemoryEndIsRejected)
               strFormat("fatal: machine load out of bounds at 0x%x",
                         end - 3));
     EXPECT_EQ(expectSameFatal(loop, *mod, {0, end - 4, 2}), "");
+
+    // The word-store micro-op checks the same way.
+    MachProgram store = memLoopProgram(MOp::STR);
+    EXPECT_EQ(expectSameFatal(store, *mod, {0, end - 3, 2}),
+              strFormat("fatal: machine store out of bounds at 0x%x",
+                        end - 3));
+    EXPECT_EQ(expectSameFatal(store, *mod, {0, end - 4, 2}), "");
+}
+
+TEST(Core, ByteAccessPastMemoryEndIsRejected)
+{
+    // A byte store from a register (a generic replay op) and a byte
+    // load into a slice (a replay micro-op): the first byte past the
+    // data memory faults, the last one inside it does not.
+    auto mod = compileSource("u32 main() { return 0; }");
+    uint32_t end = static_cast<uint32_t>(Core::kMemBytes);
+    for (MOp op : {MOp::STRB, MOp::LDRB8}) {
+        const char *access = op == MOp::STRB ? "store" : "load";
+        SCOPED_TRACE(access);
+        MachProgram loop = memLoopProgram(op);
+        EXPECT_EQ(expectSameFatal(loop, *mod, {0, end, 2}),
+                  strFormat("fatal: machine %s out of bounds at 0x%x",
+                            access, end));
+        EXPECT_EQ(expectSameFatal(loop, *mod, {0, end - 1, 2}), "");
+        EXPECT_EQ(expectSameFatal(loop, *mod, {0, 0xFFFFFFFFu, 2}),
+                  strFormat("fatal: machine %s out of bounds at 0x%x",
+                            access, 0xFFFFFFFFu));
+    }
 }
 
 TEST(Core, DivisionByZeroFatalMatchesOnEveryEngine)

@@ -84,14 +84,27 @@ expectBothPathsExact(const MachProgram &prog, const Module &mod,
     return {fast.counters(), fast.memory().l1d()};
 }
 
+MachInst
+machInst(MOp op, MOpnd dst, MOpnd a, MOpnd b, Cond cond = Cond::AL)
+{
+    MachInst m;
+    m.op = op;
+    m.dst = dst;
+    m.a = a;
+    m.b = b;
+    m.cond = cond;
+    return m;
+}
+
 TEST(FastCore, HotMissHotStreamingLoadsStayExact)
 {
     // 16 KiB arrays vs the 8 KiB L1D: every pass re-misses each line,
     // so the inner-loop block cycles hot -> D-miss divergence -> hot
     // again continuously. The memo must replay the hit iterations and
     // fall out exactly at each miss. Word elements load through the
-    // replay micro-op, u16/u8 elements through the generic sub-word
-    // Load; the store kernel takes the other miss shape, a store
+    // word-load micro-op, u16/u8 elements into a register through the
+    // generic sub-word Load; the store kernel stores words through
+    // the word-store micro-op and takes the other miss shape, a store
     // stall that delays the pipeline rather than a destination.
     struct Kernel
     {
@@ -121,6 +134,63 @@ TEST(FastCore, HotMissHotStreamingLoadsStayExact)
         // worth of cold misses (16 KiB / 32-byte lines = 512).
         EXPECT_GT(t.l1d.misses, 1000u);
     }
+
+    // Every memory and 8-bit-slice micro-op shape in one hot loop,
+    // hand-built: byte loads into slices (reg+imm and reg+reg
+    // addressing), Uxt8 of a slice, Cmp8 of slice/register against
+    // slice/immediate, and word stores (reg+imm and reg+reg). The
+    // loop strides 8 bytes through 64 KiB of bytes, so the first byte
+    // load D-misses every fourth iteration, and the reg+reg store
+    // into a second 64 KiB array stalls on the same beat.
+    auto mod = compileSource(
+        "u8 bytes[65536]; u32 sink[16384]; u32 main() { return 0; }");
+    mod->layoutGlobals();
+    Global &bytes = *mod->globals()[0];
+    const Global &sink = *mod->globals()[1];
+    for (size_t i = 0; i < bytes.elemCount(); ++i)
+        bytes.setElem(i, (i * 37 + i / 251) & 0xff);
+    const MOpnd r0 = MOpnd::makeReg(0), r1 = MOpnd::makeReg(1),
+                r2 = MOpnd::makeReg(2), r3 = MOpnd::makeReg(3),
+                r4 = MOpnd::makeReg(4), r5 = MOpnd::makeReg(5),
+                r6 = MOpnd::makeReg(6), r7 = MOpnd::makeReg(7),
+                r8 = MOpnd::makeReg(8), none{};
+    const MOpnd b1 = MOpnd::makeSlice(3, 1), b2 = MOpnd::makeSlice(3, 2);
+    auto imm = [](int64_t v) { return MOpnd::makeImm(v); };
+    MachProgram prog;
+    auto emit = [&](MachInst m) { prog.flat.push_back(m); };
+    emit(machInst(MOp::MOV, r5, imm(1), none));
+    emit(machInst(MOp::MOV, r8, r3, none)); // sink - bytes.
+    emit(machInst(MOp::MOV, r6, imm(0), none));
+    const int head = static_cast<int>(prog.flat.size());
+    emit(machInst(MOp::LDRB8, b1, r0, imm(0)));
+    emit(machInst(MOp::LDRB8, b2, r0, r5));
+    emit(machInst(MOp::UXT8, r4, b1, none));
+    emit(machInst(MOp::ADD, r6, r6, r4));
+    emit(machInst(MOp::CMP8, none, b1, b2));
+    emit(machInst(MOp::SETCC, r7, none, none, Cond::LO));
+    emit(machInst(MOp::ADD, r6, r6, r7));
+    emit(machInst(MOp::CMP8, none, b2, imm(0x40)));
+    emit(machInst(MOp::SETCC, r7, none, none, Cond::HS));
+    emit(machInst(MOp::ADD, r6, r6, r7));
+    emit(machInst(MOp::CMP8, none, r6, b1));
+    emit(machInst(MOp::SETCC, r7, none, none, Cond::EQ));
+    emit(machInst(MOp::EOR, r6, r6, r7));
+    emit(machInst(MOp::STR, r6, r0, imm(4)));
+    emit(machInst(MOp::STR, r6, r8, r0));
+    emit(machInst(MOp::ADD, r0, r0, r1));
+    emit(machInst(MOp::SUB, r2, r2, imm(1)));
+    emit(machInst(MOp::CMP, none, r2, imm(0)));
+    MachInst back = machInst(MOp::B, none, none, none, Cond::NE);
+    back.target = head;
+    emit(back);
+    emit(machInst(MOp::MOV, r0, r6, none));
+    emit(machInst(MOp::HALT, none, none, none));
+    SCOPED_TRACE("memory and slice micro-ops");
+    FastRun t = expectBothPathsExact(
+        prog, *mod,
+        {bytes.address(), 8, 65536 / 8, sink.address() - bytes.address()});
+    // One load miss and one store miss per 32-byte line of each array.
+    EXPECT_GE(t.l1d.misses, 2u * 65536 / 32);
 }
 
 TEST(FastCore, HotMisspecHotStaysExact)
@@ -166,34 +236,26 @@ TEST(FastCore, HotMisspecHotStaysExact)
     Global &data = *data_mod->globals()[0];
     for (size_t i = 0; i < data.elemCount(); ++i)
         data.setElem(i, i == 100 || i == 200 ? 1000 : i & 0x7f);
-    auto inst = [](MOp op, MOpnd dst, MOpnd a, MOpnd b) {
-        MachInst m;
-        m.op = op;
-        m.dst = dst;
-        m.a = a;
-        m.b = b;
-        return m;
-    };
     const MOpnd r0 = MOpnd::makeReg(0), r2 = MOpnd::makeReg(2),
                 imm0 = MOpnd::makeImm(0);
     MachProgram prog;
     prog.flat.push_back(
-        inst(MOp::SETDELTA, MOpnd{}, MOpnd::makeImm(8 * kInstBytes), {}));
-    MachInst ld = inst(MOp::LDRS8, MOpnd::makeSlice(1, 0), r0, imm0);
+        machInst(MOp::SETDELTA, MOpnd{}, MOpnd::makeImm(8 * kInstBytes), {}));
+    MachInst ld = machInst(MOp::LDRS8, MOpnd::makeSlice(1, 0), r0, imm0);
     ld.speculative = true;
     ld.origBits = 32;
     prog.flat.push_back(ld);                                    // 1
-    prog.flat.push_back(inst(MOp::ADD, r0, r0, MOpnd::makeImm(4)));
-    prog.flat.push_back(inst(MOp::SUB, r2, r2, MOpnd::makeImm(1)));
-    prog.flat.push_back(inst(MOp::CMP, MOpnd{}, r2, imm0));
-    MachInst back = inst(MOp::B, {}, {}, {});
+    prog.flat.push_back(machInst(MOp::ADD, r0, r0, MOpnd::makeImm(4)));
+    prog.flat.push_back(machInst(MOp::SUB, r2, r2, MOpnd::makeImm(1)));
+    prog.flat.push_back(machInst(MOp::CMP, MOpnd{}, r2, imm0));
+    MachInst back = machInst(MOp::B, {}, {}, {});
     back.cond = Cond::NE;
     back.target = 1;
     prog.flat.push_back(back);                                  // 5
-    prog.flat.push_back(inst(MOp::HALT, {}, {}, {}));
-    prog.flat.push_back(inst(MOp::NOP, {}, {}, {}));
-    prog.flat.push_back(inst(MOp::NOP, {}, {}, {}));
-    MachInst redirect = inst(MOp::B, {}, {}, {});
+    prog.flat.push_back(machInst(MOp::HALT, {}, {}, {}));
+    prog.flat.push_back(machInst(MOp::NOP, {}, {}, {}));
+    prog.flat.push_back(machInst(MOp::NOP, {}, {}, {}));
+    MachInst redirect = machInst(MOp::B, {}, {}, {});
     redirect.target = 2;
     prog.flat.push_back(redirect);                              // 1 + 8
     FastRun spec = expectBothPathsExact(
@@ -430,28 +492,20 @@ TEST(FastCore, ColdRunBuildsMemosOnlyWhereTheyCanReplay)
     // the whole body replays from the loop head. Building a memo at
     // every slow-stepped index would leave 19 in the table.
     constexpr uint32_t kLineInsts = 8, kLines = 3;
-    auto inst = [](MOp op, MOpnd dst, MOpnd a, MOpnd b) {
-        MachInst m;
-        m.op = op;
-        m.dst = dst;
-        m.a = a;
-        m.b = b;
-        return m;
-    };
     const MOpnd r0 = MOpnd::makeReg(0), r1 = MOpnd::makeReg(1);
     MachProgram prog;
     // Independent adds into r2..r9 in turn: every suffix of the body
     // is ready to replay on entry.
     for (uint32_t k = 0; k < kLines * kLineInsts - 3; ++k)
-        prog.flat.push_back(inst(MOp::ADD, MOpnd::makeReg(2 + k % 8), r1,
-                                 MOpnd::makeImm(k)));
-    prog.flat.push_back(inst(MOp::SUB, r0, r0, MOpnd::makeImm(1)));
-    prog.flat.push_back(inst(MOp::CMP, MOpnd{}, r0, MOpnd::makeImm(0)));
-    MachInst back = inst(MOp::B, {}, {}, {});
+        prog.flat.push_back(machInst(MOp::ADD, MOpnd::makeReg(2 + k % 8),
+                                     r1, MOpnd::makeImm(k)));
+    prog.flat.push_back(machInst(MOp::SUB, r0, r0, MOpnd::makeImm(1)));
+    prog.flat.push_back(machInst(MOp::CMP, MOpnd{}, r0, MOpnd::makeImm(0)));
+    MachInst back = machInst(MOp::B, {}, {}, {});
     back.cond = Cond::NE;
     back.target = 0;
     prog.flat.push_back(back);
-    prog.flat.push_back(inst(MOp::HALT, {}, {}, {}));
+    prog.flat.push_back(machInst(MOp::HALT, {}, {}, {}));
     auto mod = compileSource("u32 main() { return 0; }");
 
     Core legacy(prog, *mod);
@@ -467,6 +521,47 @@ TEST(FastCore, ColdRunBuildsMemosOnlyWhereTheyCanReplay)
     // The loop head and one entry into the last line, which replays
     // the rest of the first pass; the head replays the other seven.
     EXPECT_LE(code.memoCount(), 2u);
+    EXPECT_EQ(fast.replayedRuns(), 8u);
+}
+
+TEST(FastCore, NoMemoWhereEntryRegistersAreNotReady)
+{
+    // One loop of three I-lines: two lines of independent adds, then
+    // a dependent chain r1 += r2 whose every step waits one cycle for
+    // the previous one, then the loop control. On the cold first
+    // pass the last line turns resident at the first chain step, so
+    // every chain index after it is visited with r1 not ready:
+    // a memo there could not replay, and none is built. The pass
+    // replays from the loop control (index 21), and the loop head
+    // replays the other seven passes. Building at every resident
+    // index would add memos at 17-20 and replay the same 8 runs.
+    constexpr uint32_t kChainFirst = 16, kChainLast = 20;
+    const MOpnd r0 = MOpnd::makeReg(0), r1 = MOpnd::makeReg(1),
+                r2 = MOpnd::makeReg(2), r3 = MOpnd::makeReg(3);
+    MachProgram prog;
+    for (uint32_t k = 0; k < kChainFirst; ++k)
+        prog.flat.push_back(machInst(MOp::ADD, MOpnd::makeReg(4 + k % 8),
+                                     r3, MOpnd::makeImm(k)));
+    for (uint32_t k = kChainFirst; k <= kChainLast; ++k)
+        prog.flat.push_back(machInst(MOp::ADD, r1, r1, r2));
+    prog.flat.push_back(machInst(MOp::SUB, r0, r0, MOpnd::makeImm(1)));
+    prog.flat.push_back(machInst(MOp::CMP, {}, r0, MOpnd::makeImm(0)));
+    MachInst back = machInst(MOp::B, {}, {}, {}, Cond::NE);
+    back.target = 0;
+    prog.flat.push_back(back);
+    prog.flat.push_back(machInst(MOp::HALT, {}, {}, {}));
+    auto mod = compileSource("u32 main() { return 0; }");
+
+    Core legacy(prog, *mod);
+    const uint32_t want = legacy.run({8, 1, 2});
+    PredecodedProgram pre(prog);
+    FastCore code(pre);
+    FastMachine fast;
+    fast.bind(code, *mod);
+    EXPECT_EQ(fast.run({8, 1, 2}), want);
+    expectSameObservables(legacy, fast);
+    // The loop control and the loop head; none at the chain.
+    EXPECT_EQ(code.memoCount(), 2u);
     EXPECT_EQ(fast.replayedRuns(), 8u);
 }
 
